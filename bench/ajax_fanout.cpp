@@ -3,7 +3,11 @@
 // Drives N in-process HTTP clients (N up to 512 and beyond) against one
 // AjaxFrontEnd, every client long-polling /api/poll?since=N&delta=1 over a
 // persistent keep-alive connection — the browser behaviour of Section 5.1 at
-// a scale no browser farm provides. Reports, as JSON per client count:
+// a scale no browser farm provides. Every live-server scenario drives its
+// clients with the epoll fleet (bench/epoll_client.hpp): ONE load-generator
+// thread, however many clients, so generator scheduling jitter does not
+// inflate the tail latency attributed to the server. Reports, as JSON per
+// client count:
 // publish-to-delivery latency percentiles (how stale is a frame by the time
 // the slowest-served client holds it), poll round-trip percentiles, frame
 // throughput, gap and timeout counts. The scaling claim of the paper
@@ -22,10 +26,7 @@
 // reactor-driven server. Besides the latency/throughput metrics it samples
 // process-wide fd count, thread count, and peak RSS during the round and
 // reports the configured server thread budget (reactor + worker pools +
-// monitor loop), which stays constant while client count scales 8x. The
-// clients are driven by the epoll fleet (bench/epoll_client.hpp): ONE
-// load-generator thread, so generator scheduling jitter no longer inflates
-// the tail latency attributed to the server.
+// monitor loop), which stays constant while client count scales 8x.
 //
 // The shard scenario (--scenario shard) is the multi-hub sharding proof:
 // the server publishes 4 views (variable x projection shards, each its own
@@ -96,6 +97,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,7 +120,6 @@ using benchweb::ClientResult;
 using benchweb::ClientSpec;
 using benchweb::EpollClientFleet;
 using benchweb::bench_now_unix_ms;
-using benchweb::tier_index;
 using ricsa::util::Json;
 
 /// Raise RLIMIT_NOFILE to its hard limit: a 4k-client round needs ~8k fds
@@ -167,329 +168,6 @@ double percentile(std::vector<double>& xs, double p) {
   return xs[lo] + (xs[hi] - xs[lo]) * frac;
 }
 
-/// One emulated browser: long-poll loop with a private cursor. A "slow"
-/// client sleeps between polls, the mix the hub must not let starve. A
-/// non-empty `client_id` opts into a per-client adaptive pacing session.
-/// `force_full` adds full=1 — the tile-delta opt-out, used as the
-/// full-resend baseline of the delta scenario.
-void client_loop(int port, double duration_s, double inter_poll_delay_s,
-                 std::string client_id, bool force_full, std::atomic<bool>& go,
-                 ClientResult& out) {
-  ricsa::web::HttpClient http(port);
-  // Join at the live head: replaying the retention window would count old
-  // frames (with old publish stamps) as slow deliveries.
-  std::uint64_t since = 0;
-  try {
-    const auto state = http.get("/api/state", 10.0);
-    since = static_cast<std::uint64_t>(
-        Json::parse(state.body).at("seq").as_number());
-  } catch (const std::exception&) {
-  }
-  while (!go.load()) std::this_thread::yield();
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(duration_s);
-  while (std::chrono::steady_clock::now() < deadline) {
-    const double t0 = bench_now_unix_ms();
-    ricsa::web::HttpClient::Response r;
-    try {
-      r = http.get("/api/poll?since=" + std::to_string(since) +
-                       "&delta=1&timeout=2" + (force_full ? "&full=1" : "") +
-                       (client_id.empty() ? "" : "&client=" + client_id),
-                   10.0);
-    } catch (const std::exception&) {
-      ++out.errors;
-      continue;
-    }
-    const double t1 = bench_now_unix_ms();
-    ++out.polls;
-    if (r.status != 200) {
-      ++out.errors;
-      continue;
-    }
-    Json body;
-    try {
-      body = Json::parse(r.body);
-    } catch (const std::exception&) {
-      ++out.errors;
-      continue;
-    }
-    if (body.contains("timeout")) {
-      ++out.timeouts;
-      continue;
-    }
-    const auto seq = static_cast<std::uint64_t>(body.at("seq").as_number());
-    if (seq <= since) continue;
-    // Adaptive sessions skip frames by design (latest_only pacing); count
-    // those separately so `gaps` stays the hub-correctness signal.
-    if (since != 0 && seq != since + 1) {
-      if (client_id.empty()) ++out.gaps;
-      else out.skips += seq - since - 1;
-    }
-    // Tile-delta protocol accounting. `since` doubles as the composited
-    // cursor: a gap-free client composites every frame, so tiles must
-    // always anchor at exactly the previous frame received.
-    if (body.contains("tiles")) {
-      ++out.tile_frames;
-      out.tiles_received += body.at("tiles").as_array().size();
-      if (static_cast<std::uint64_t>(body.at("base_seq").as_number()) !=
-          since) {
-        ++out.delta_breaks;
-      }
-    } else if (body.contains("image_b64")) {
-      ++out.image_frames;
-    }
-    since = seq;
-    ++out.frames;
-    out.bytes += r.body.size();
-    const std::size_t tier =
-        body.contains("tier") ? tier_index(body.at("tier").as_string()) : 0;
-    ++out.tier_frames[tier];
-    out.tier_bytes[tier] += r.body.size();
-    out.rtt_ms.push_back(t1 - t0);
-    if (body.at("state").contains("published_ms")) {
-      out.delivery_ms.push_back(t1 -
-                                body.at("state").at("published_ms").as_number());
-    }
-    if (inter_poll_delay_s > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(inter_poll_delay_s));
-    }
-  }
-  out.reconnects = http.reconnects();
-}
-
-/// `orbit` drives /api/view azimuth changes at frame cadence for the round:
-/// every frame renders a different image (the live-visualization regime the
-/// tier pipeline targets), instead of the byte-identical PNGs a converged
-/// tiny simulation produces.
-///
-/// `paced_fraction` of the clients present a session identity and get
-/// per-client adaptive pacing (1.0 = the adaptive rounds, 0.0 = baseline,
-/// in between = the fanout scenario's mixed population).
-///
-/// `force_full` makes every client ask for complete frames (full=1) — the
-/// delta scenario's full-resend baseline.
-Json run_round(ricsa::web::AjaxFrontEnd& frontend, int port, int n_clients,
-               double duration_s, double slow_fraction, double paced_fraction,
-               bool orbit, double frame_interval_s, bool force_full = false) {
-  const std::uint64_t seq_before = frontend.frame_seq();
-  const auto stats_before = frontend.hub().stats();
-
-  std::vector<ClientResult> results(static_cast<std::size_t>(n_clients));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(n_clients));
-  std::atomic<bool> go{false};
-  const int n_slow = static_cast<int>(slow_fraction * n_clients);
-  // Fresh session identities per round: reusing ids would leak one round's
-  // adapted tier state into the next.
-  static std::atomic<int> round_counter{0};
-  const int round = round_counter++;
-  int n_paced = 0;
-  for (int i = 0; i < n_clients; ++i) {
-    // Slow consumers sleep ~3 frame intervals between polls — tied to the
-    // cadence so they stay genuinely slower than publication at any
-    // --frame-interval-s (a fixed delay under the interval would make the
-    // "slow" cohort indistinguishable from the fast one).
-    const double delay =
-        i < n_slow ? std::max(0.15, 3.0 * frame_interval_s) : 0.0;
-    // Spread paced clients evenly through the population so both the slow
-    // and the fast mix contain paced and unpaced members.
-    const bool paced =
-        static_cast<int>(static_cast<double>(i) * paced_fraction) !=
-        static_cast<int>(static_cast<double>(i + 1) * paced_fraction);
-    n_paced += paced ? 1 : 0;
-    const std::string client_id =
-        paced ? "bench-r" + std::to_string(round) + "-c" + std::to_string(i)
-              : std::string();
-    threads.emplace_back(client_loop, port, duration_s, delay, client_id,
-                         force_full, std::ref(go),
-                         std::ref(results[static_cast<std::size_t>(i)]));
-  }
-  // Process-wide resource sampler: peak fds and threads *during* the round
-  // (after it, the client sockets and threads are gone again).
-  std::atomic<bool> sampling{true};
-  std::size_t peak_fds = 0;
-  long peak_threads = 0;
-  std::thread sampler([&] {
-    while (sampling.load()) {
-      peak_fds = std::max(peak_fds, count_open_fds());
-      peak_threads = std::max(peak_threads, proc_status_value("Threads"));
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-  });
-  std::atomic<bool> orbiting{orbit};
-  std::thread orbit_thread;
-  if (orbit) {
-    orbit_thread = std::thread([port, frame_interval_s, &orbiting] {
-      ricsa::web::HttpClient http(port);
-      int k = 0;
-      while (orbiting.load()) {
-        const std::string body = "{\"azimuth\": " +
-                                 std::to_string(0.7 + 0.031 * (k++ % 100)) +
-                                 "}";
-        try {
-          http.post("/api/view", body);
-        } catch (const std::exception&) {
-        }
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(frame_interval_s));
-      }
-    });
-  }
-  const double t0 = bench_now_unix_ms();
-  go.store(true);
-  for (auto& t : threads) t.join();
-  const double elapsed_s = (bench_now_unix_ms() - t0) / 1000.0;
-  orbiting.store(false);
-  if (orbit_thread.joinable()) orbit_thread.join();
-  sampling.store(false);
-  sampler.join();
-
-  ClientResult total;
-  std::vector<double> fast_delivery_ms;  // prompt pollers only: the hub's
-                                         // own fan-out latency, not the
-                                         // client-chosen replay pace
-  std::uint64_t min_frames = results.empty() ? 0 : results.front().frames;
-  for (int i = 0; i < n_clients; ++i) {
-    const ClientResult& r = results[static_cast<std::size_t>(i)];
-    total.delivery_ms.insert(total.delivery_ms.end(), r.delivery_ms.begin(),
-                             r.delivery_ms.end());
-    if (i >= n_slow) {
-      fast_delivery_ms.insert(fast_delivery_ms.end(), r.delivery_ms.begin(),
-                              r.delivery_ms.end());
-    }
-    total.rtt_ms.insert(total.rtt_ms.end(), r.rtt_ms.begin(), r.rtt_ms.end());
-    total.frames += r.frames;
-    total.polls += r.polls;
-    total.gaps += r.gaps;
-    total.skips += r.skips;
-    total.timeouts += r.timeouts;
-    total.errors += r.errors;
-    total.bytes += r.bytes;
-    total.tile_frames += r.tile_frames;
-    total.tiles_received += r.tiles_received;
-    total.image_frames += r.image_frames;
-    total.delta_breaks += r.delta_breaks;
-    for (std::size_t t = 0; t < 3; ++t) {
-      total.tier_frames[t] += r.tier_frames[t];
-      total.tier_bytes[t] += r.tier_bytes[t];
-    }
-    total.reconnects += std::max(0, r.reconnects);
-    min_frames = std::min(min_frames, r.frames);
-  }
-
-  Json out;
-  out["clients"] = n_clients;
-  out["slow_clients"] = n_slow;
-  out["paced_clients"] = n_paced;
-  out["adaptive"] = paced_fraction > 0.0;
-  out["full_resend"] = force_full;
-  out["duration_s"] = elapsed_s;
-  out["frames_published"] =
-      static_cast<double>(frontend.frame_seq() - seq_before);
-  out["polls"] = static_cast<double>(total.polls);
-  out["frames_delivered"] = static_cast<double>(total.frames);
-  out["frames_delivered_min_per_client"] = static_cast<double>(min_frames);
-  out["deliveries_per_sec"] =
-      static_cast<double>(total.frames) / std::max(1e-9, elapsed_s);
-  out["gaps"] = static_cast<double>(total.gaps);
-  out["pacing_skips"] = static_cast<double>(total.skips);
-  out["timeouts"] = static_cast<double>(total.timeouts);
-  out["errors"] = static_cast<double>(total.errors);
-  out["client_reconnects"] = static_cast<double>(total.reconnects);
-  out["bytes_total"] = static_cast<double>(total.bytes);
-  out["bandwidth_Bps"] =
-      static_cast<double>(total.bytes) / std::max(1e-9, elapsed_s);
-  out["bytes_per_frame"] =
-      total.frames > 0
-          ? static_cast<double>(total.bytes) / static_cast<double>(total.frames)
-          : 0.0;
-  {
-    Json image_delta;
-    image_delta["tile_frames"] = static_cast<double>(total.tile_frames);
-    image_delta["tiles_received"] = static_cast<double>(total.tiles_received);
-    image_delta["full_image_frames"] = static_cast<double>(total.image_frames);
-    image_delta["delta_breaks"] = static_cast<double>(total.delta_breaks);
-    out["image_delta"] = image_delta;
-  }
-  {
-    static const char* kTierNames[3] = {"full", "half", "state"};
-    Json tiers;
-    for (std::size_t t = 0; t < 3; ++t) {
-      Json tier;
-      tier["frames"] = static_cast<double>(total.tier_frames[t]);
-      tier["bytes"] = static_cast<double>(total.tier_bytes[t]);
-      tier["bandwidth_Bps"] =
-          static_cast<double>(total.tier_bytes[t]) / std::max(1e-9, elapsed_s);
-      tiers[kTierNames[t]] = tier;
-    }
-    out["tiers"] = tiers;
-  }
-
-  Json delivery;
-  delivery["p50_ms"] = percentile(total.delivery_ms, 50);
-  delivery["p90_ms"] = percentile(total.delivery_ms, 90);
-  delivery["p99_ms"] = percentile(total.delivery_ms, 99);
-  delivery["max_ms"] =
-      total.delivery_ms.empty()
-          ? 0.0
-          : *std::max_element(total.delivery_ms.begin(), total.delivery_ms.end());
-  out["delivery_latency"] = delivery;
-
-  if (!fast_delivery_ms.empty()) {
-    Json fast;
-    fast["p50_ms"] = percentile(fast_delivery_ms, 50);
-    fast["p90_ms"] = percentile(fast_delivery_ms, 90);
-    fast["p99_ms"] = percentile(fast_delivery_ms, 99);
-    fast["max_ms"] = *std::max_element(fast_delivery_ms.begin(),
-                                       fast_delivery_ms.end());
-    out["delivery_latency_fast_clients"] = fast;
-  }
-
-  Json rtt;
-  rtt["p50_ms"] = percentile(total.rtt_ms, 50);
-  rtt["p90_ms"] = percentile(total.rtt_ms, 90);
-  rtt["p99_ms"] = percentile(total.rtt_ms, 99);
-  out["poll_rtt"] = rtt;
-
-  const auto stats_after = frontend.hub().stats();
-  Json hub;
-  hub["waiting_peak"] = static_cast<double>(stats_after.waiting_peak);
-  hub["served"] = static_cast<double>(stats_after.served - stats_before.served);
-  hub["hub_timeouts"] =
-      static_cast<double>(stats_after.timeouts - stats_before.timeouts);
-  out["hub"] = hub;
-
-  // Encoder-side compression accounting over this round: raw framebuffer
-  // bytes handed to the PNG encoder vs compressed bytes it produced,
-  // across every full-frame and tile-rect encode the hub performed. The
-  // wire bytes above additionally carry base64 and JSON framing, so this
-  // is the codec's own ratio, not the end-to-end one.
-  out["codec"] = "deflate";
-  {
-    const double enc_in = static_cast<double>(stats_after.image_bytes_in -
-                                              stats_before.image_bytes_in);
-    const double enc_out = static_cast<double>(stats_after.image_bytes_out -
-                                               stats_before.image_bytes_out);
-    Json compression;
-    compression["raw_bytes_in"] = enc_in;
-    compression["png_bytes_out"] = enc_out;
-    compression["compression_ratio"] = enc_out > 0 ? enc_in / enc_out : 0.0;
-    out["compression"] = compression;
-  }
-
-  // Process-wide peaks during the round. Both ends of every connection are
-  // in this process, so fds ~ 2x clients + constants, and threads include
-  // the bench's own client threads — the *server's* thread budget is the
-  // constant reported at the top level of the report.
-  Json process;
-  process["peak_fds"] = static_cast<double>(peak_fds);
-  process["peak_threads"] = static_cast<double>(peak_threads);
-  process["peak_rss_kb"] = static_cast<double>(proc_status_value("VmHWM"));
-  out["process"] = process;
-  return out;
-}
-
 void accumulate(const ClientResult& r, ClientResult& total) {
   total.delivery_ms.insert(total.delivery_ms.end(), r.delivery_ms.begin(),
                            r.delivery_ms.end());
@@ -526,8 +204,8 @@ Json latency_json(std::vector<double>& xs) {
   return out;
 }
 
-/// Sum of the per-shard hub stats across every live view — the registry-
-/// wide equivalent of run_round's single-hub before/after snapshot.
+/// Sum of the per-shard hub stats across every live view: the round's
+/// before/after snapshot.
 ricsa::web::FrameHub::Stats registry_stats(ricsa::web::AjaxFrontEnd& fe) {
   ricsa::web::FrameHub::Stats sum;
   for (const std::string& name : fe.registry().view_names()) {
@@ -538,23 +216,43 @@ ricsa::web::FrameHub::Stats registry_stats(ricsa::web::AjaxFrontEnd& fe) {
     sum.served += s.served;
     sum.timeouts += s.timeouts;
     sum.waiting_peak = std::max(sum.waiting_peak, s.waiting_peak);
+    sum.image_bytes_in += s.image_bytes_in;
+    sum.image_bytes_out += s.image_bytes_out;
   }
   return sum;
 }
 
+/// Round tags bench_delta.py keys rounds on: (scenario, view_count,
+/// slow-view presence) for the shard, transport and multireactor rounds.
+Json scenario_tags(const std::string& scenario, std::size_t view_count,
+                   const std::string& slow_view) {
+  Json tags;
+  tags["scenario"] = scenario;
+  tags["view_count"] = static_cast<int>(view_count);
+  tags["slow_view"] = slow_view;
+  return tags;
+}
+
+/// The tag the plain, mixed and delta rounds have always carried: the PNG
+/// codec behind their bytes/frame.
+Json codec_tags() {
+  Json tags;
+  tags["codec"] = "deflate";
+  return tags;
+}
+
 /// One round driven by the epoll client fleet (one load-generator thread,
-/// however many clients) — the fanout, shard, and transport scenarios.
-/// `scenario`, `view_count`, and `slow_view` tag shard rounds so
-/// bench_delta.py can match rounds across runs by (scenario, view_count,
-/// slow-view presence); fanout rounds pass empty tags and keep their
-/// historical round key. `transport` tags the transport scenario's rounds
-/// ("long-poll" vs "sse") — empty everywhere else, so pre-transport
-/// artifacts keep matching too.
+/// however many clients) — every scenario with a live server but relay.
+/// `tags` are copied into the round's JSON: bench_delta.py matches rounds
+/// across runs by them, so each scenario passes exactly the tags its
+/// earlier artifacts carry (fanout rounds pass none). A positive
+/// `orbit_interval_s` posts /api/view azimuth changes at that cadence for
+/// the round, so every frame renders a different image (the live-
+/// visualization regime the tier and delta pipelines target) instead of
+/// the byte-identical PNGs a converged tiny simulation produces.
 Json run_fleet_round(ricsa::web::AjaxFrontEnd& frontend, int port,
                      const std::vector<ClientSpec>& specs, double duration_s,
-                     const std::string& scenario, std::size_t view_count,
-                     const std::string& slow_view,
-                     const std::string& transport = "") {
+                     const Json& tags, double orbit_interval_s = 0.0) {
   // Let the server reap the previous round's connections first: starting a
   // new full fleet while the old one's FINs are still queued would
   // transiently double the connection count and 503 the overlap.
@@ -563,9 +261,8 @@ Json run_fleet_round(ricsa::web::AjaxFrontEnd& frontend, int port,
   }
   const auto stats_before = registry_stats(frontend);
 
-  // Process-wide resource sampler, as in run_round: peaks *during* the
-  // round. The expected thread picture here is the server budget plus ONE
-  // fleet thread — the satellite's point.
+  // Process-wide resource sampler: peaks *during* the round. The expected
+  // thread picture is the server budget plus ONE fleet thread.
   std::atomic<bool> sampling{true};
   std::size_t peak_fds = 0;
   long peak_threads = 0;
@@ -577,10 +274,32 @@ Json run_fleet_round(ricsa::web::AjaxFrontEnd& frontend, int port,
     }
   });
 
+  std::atomic<bool> orbiting{orbit_interval_s > 0.0};
+  std::thread orbit_thread;
+  if (orbiting.load()) {
+    orbit_thread = std::thread([port, orbit_interval_s, &orbiting] {
+      ricsa::web::HttpClient http(port);
+      int k = 0;
+      while (orbiting.load()) {
+        const std::string body = "{\"azimuth\": " +
+                                 std::to_string(0.7 + 0.031 * (k++ % 100)) +
+                                 "}";
+        try {
+          http.post("/api/view", body);
+        } catch (const std::exception&) {
+        }
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(orbit_interval_s));
+      }
+    });
+  }
+
   const double t0 = bench_now_unix_ms();
   EpollClientFleet fleet(port, specs);
   std::vector<ClientResult> results = fleet.run(duration_s);
   const double elapsed_s = (bench_now_unix_ms() - t0) / 1000.0;
+  orbiting.store(false);
+  if (orbit_thread.joinable()) orbit_thread.join();
   sampling.store(false);
   sampler.join();
 
@@ -589,6 +308,7 @@ Json run_fleet_round(ricsa::web::AjaxFrontEnd& frontend, int port,
   std::uint64_t min_frames = results.empty() ? 0 : results.front().frames;
   std::map<std::string, ClientResult> by_view;
   std::map<std::string, int> view_clients;
+  std::set<std::string> slow_views;
   for (std::size_t i = 0; i < results.size(); ++i) {
     accumulate(results[i], total);
     if (!specs[i].slow) {
@@ -600,28 +320,25 @@ Json run_fleet_round(ricsa::web::AjaxFrontEnd& frontend, int port,
     if (!specs[i].view.empty()) {
       accumulate(results[i], by_view[specs[i].view]);
       ++view_clients[specs[i].view];
+      if (specs[i].slow) slow_views.insert(specs[i].view);
     }
   }
 
-  Json out;
+  Json out = tags;
   out["clients"] = static_cast<int>(specs.size());
   int n_slow = 0;
   int n_paced = 0;
+  bool full_resend = false;
   for (const ClientSpec& spec : specs) {
     n_slow += spec.slow ? 1 : 0;
     n_paced += spec.client_id.empty() ? 0 : 1;
+    full_resend = full_resend || spec.force_full;
   }
   out["slow_clients"] = n_slow;
   out["paced_clients"] = n_paced;
   out["adaptive"] = n_paced > 0;
-  out["full_resend"] = false;
+  out["full_resend"] = full_resend;
   out["harness"] = "epoll";
-  if (!scenario.empty()) {
-    out["scenario"] = scenario;
-    out["view_count"] = static_cast<int>(view_count);
-    out["slow_view"] = slow_view;
-  }
-  if (!transport.empty()) out["transport"] = transport;
   out["duration_s"] = elapsed_s;
   out["polls"] = static_cast<double>(total.polls);
   out["frames_delivered"] = static_cast<double>(total.frames);
@@ -665,6 +382,19 @@ Json run_fleet_round(ricsa::web::AjaxFrontEnd& frontend, int port,
     image_delta["delta_breaks"] = static_cast<double>(total.delta_breaks);
     out["image_delta"] = image_delta;
   }
+  {
+    static const char* kTierNames[3] = {"full", "half", "state"};
+    Json tiers;
+    for (std::size_t t = 0; t < 3; ++t) {
+      Json tier;
+      tier["frames"] = static_cast<double>(total.tier_frames[t]);
+      tier["bytes"] = static_cast<double>(total.tier_bytes[t]);
+      tier["bandwidth_Bps"] =
+          static_cast<double>(total.tier_bytes[t]) / std::max(1e-9, elapsed_s);
+      tiers[kTierNames[t]] = tier;
+    }
+    out["tiers"] = tiers;
+  }
   out["delivery_latency"] = latency_json(total.delivery_ms);
   if (!fast_delivery_ms.empty()) {
     out["delivery_latency_fast_clients"] = latency_json(fast_delivery_ms);
@@ -680,7 +410,7 @@ Json run_fleet_round(ricsa::web::AjaxFrontEnd& frontend, int port,
     for (auto& [name, r] : by_view) {
       Json v;
       v["clients"] = view_clients[name];
-      v["slow"] = name == slow_view;
+      v["slow"] = slow_views.count(name) > 0;
       v["frames"] = static_cast<double>(r.frames);
       v["gaps"] = static_cast<double>(r.gaps);
       v["errors"] = static_cast<double>(r.errors);
@@ -702,6 +432,26 @@ Json run_fleet_round(ricsa::web::AjaxFrontEnd& frontend, int port,
       static_cast<double>(stats_after.published - stats_before.published);
   out["hub"] = hub;
 
+  // Encoder-side compression accounting over this round: raw framebuffer
+  // bytes handed to the PNG encoder vs compressed bytes it produced,
+  // across every full-frame and tile-rect encode the hubs performed. The
+  // wire bytes above additionally carry base64 and JSON framing, so this
+  // is the codec's own ratio, not the end-to-end one.
+  {
+    const double enc_in = static_cast<double>(stats_after.image_bytes_in -
+                                              stats_before.image_bytes_in);
+    const double enc_out = static_cast<double>(stats_after.image_bytes_out -
+                                               stats_before.image_bytes_out);
+    Json compression;
+    compression["raw_bytes_in"] = enc_in;
+    compression["png_bytes_out"] = enc_out;
+    compression["compression_ratio"] = enc_out > 0 ? enc_in / enc_out : 0.0;
+    out["compression"] = compression;
+  }
+
+  // Process-wide peaks during the round. Both ends of every connection are
+  // in this process, so fds ~ 2x clients + constants; the *server's*
+  // thread budget is the constant reported at the top level of the report.
   Json process;
   process["peak_fds"] = static_cast<double>(peak_fds);
   process["peak_threads"] = static_cast<double>(peak_threads);
@@ -856,21 +606,34 @@ std::vector<ClientSpec> relay_specs(int n_clients,
   return specs;
 }
 
-/// Fleet population for the fanout scenario: same mix the thread-based
-/// harness used — `slow_fraction` slow consumers and `paced_fraction`
-/// adaptive sessions spread through the population.
-std::vector<ClientSpec> fanout_specs(int n_clients, double slow_fraction,
-                                     double paced_fraction,
-                                     double frame_interval_s, int round) {
+/// Fleet population for the plain, mixed, delta and fanout scenarios:
+/// `slow_fraction` slow consumers and `paced_fraction` adaptive sessions
+/// (1.0 = the adaptive rounds, 0.0 = baseline, in between = the fanout
+/// scenario's mixed population). `force_full` makes every client ask for
+/// complete frames (full=1) — the delta scenario's full-resend baseline.
+std::vector<ClientSpec> mix_specs(int n_clients, double slow_fraction,
+                                  double paced_fraction,
+                                  double frame_interval_s,
+                                  bool force_full = false) {
+  // Fresh session identities per round: reusing ids would leak one round's
+  // adapted tier state into the next.
+  static int round = 0;
+  ++round;
   std::vector<ClientSpec> specs;
   specs.reserve(static_cast<std::size_t>(n_clients));
   const int n_slow = static_cast<int>(slow_fraction * n_clients);
   for (int i = 0; i < n_clients; ++i) {
     ClientSpec spec;
+    spec.force_full = force_full;
     if (i < n_slow) {
+      // Slow consumers pause ~3 frame intervals between polls — tied to
+      // the cadence so they stay genuinely slower than publication at any
+      // --frame-interval-s.
       spec.slow = true;
       spec.inter_poll_delay_s = std::max(0.15, 3.0 * frame_interval_s);
     }
+    // Spread paced clients evenly through the population so both the slow
+    // and the fast mix contain paced and unpaced members.
     const bool paced =
         static_cast<int>(static_cast<double>(i) * paced_fraction) !=
         static_cast<int>(static_cast<double>(i + 1) * paced_fraction);
@@ -1338,13 +1101,17 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "[ajax_fanout] %d clients (%.0f%% slow) baseline...\n", n,
                    slow_fraction * 100);
-      Json baseline = run_round(*frontend, port, n, duration_s, slow_fraction,
-                                0.0, true, frame_interval_s);
+      Json baseline = run_fleet_round(
+          *frontend, port,
+          mix_specs(n, slow_fraction, 0.0, frame_interval_s), duration_s,
+          codec_tags(), frame_interval_s);
       std::fprintf(stderr,
                    "[ajax_fanout] %d clients (%.0f%% slow) adaptive...\n", n,
                    slow_fraction * 100);
-      Json adaptive = run_round(*frontend, port, n, duration_s, slow_fraction,
-                                1.0, true, frame_interval_s);
+      Json adaptive = run_fleet_round(
+          *frontend, port,
+          mix_specs(n, slow_fraction, 1.0, frame_interval_s), duration_s,
+          codec_tags(), frame_interval_s);
 
       Json cmp;
       cmp["clients"] = n;
@@ -1374,14 +1141,15 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "[ajax_fanout] delta: %d clients full-resend baseline...\n",
                    n);
-      Json baseline = run_round(*frontend, port, n, duration_s, 0.0, 0.0,
-                                /*orbit=*/true, frame_interval_s,
-                                /*force_full=*/true);
+      Json baseline = run_fleet_round(
+          *frontend, port,
+          mix_specs(n, 0.0, 0.0, frame_interval_s, /*force_full=*/true),
+          duration_s, codec_tags(), frame_interval_s);
       std::fprintf(stderr,
                    "[ajax_fanout] delta: %d clients tile deltas...\n", n);
-      Json tiled = run_round(*frontend, port, n, duration_s, 0.0, 0.0,
-                             /*orbit=*/true, frame_interval_s,
-                             /*force_full=*/false);
+      Json tiled = run_fleet_round(
+          *frontend, port, mix_specs(n, 0.0, 0.0, frame_interval_s),
+          duration_s, codec_tags(), frame_interval_s);
 
       Json cmp;
       cmp["clients"] = n;
@@ -1410,12 +1178,9 @@ int main(int argc, char** argv) {
                    "[ajax_fanout] fanout: %d clients (%.0f%% slow, 50%% "
                    "paced) on the epoll fleet for %.1f s...\n",
                    n, slow_fraction * 100, duration_s);
-      static std::atomic<int> fleet_round{0};
       rounds.as_array().push_back(run_fleet_round(
-          *frontend, port,
-          fanout_specs(n, slow_fraction, 0.5, frame_interval_s,
-                       fleet_round++),
-          duration_s, "", 0, ""));
+          *frontend, port, mix_specs(n, slow_fraction, 0.5, frame_interval_s),
+          duration_s, Json()));
     } else if (scenario == "transport") {
       if (!first_round) fresh_frontend();
       // Same frame source, same client count, both transports: long-poll
@@ -1425,15 +1190,17 @@ int main(int argc, char** argv) {
       // cost per frame is the differing number.
       std::fprintf(stderr,
                    "[ajax_fanout] transport: %d long-poll clients...\n", n);
-      Json poll_round =
-          run_fleet_round(*frontend, port, transport_specs(n, false),
-                          duration_s, "transport", 0, "", "long-poll");
+      Json poll_tags = scenario_tags("transport", 0, "");
+      poll_tags["transport"] = "long-poll";
+      Json poll_round = run_fleet_round(
+          *frontend, port, transport_specs(n, false), duration_s, poll_tags);
       fresh_frontend();
       std::fprintf(stderr,
                    "[ajax_fanout] transport: %d SSE stream clients...\n", n);
-      Json sse_round =
-          run_fleet_round(*frontend, port, transport_specs(n, true),
-                          duration_s, "transport", 0, "", "sse");
+      Json sse_tags = scenario_tags("transport", 0, "");
+      sse_tags["transport"] = "sse";
+      Json sse_round = run_fleet_round(
+          *frontend, port, transport_specs(n, true), duration_s, sse_tags);
 
       Json cmp;
       cmp["clients"] = n;
@@ -1481,7 +1248,8 @@ int main(int argc, char** argv) {
                    "reactors...\n",
                    n, kMultiReactors);
       Json multi = run_fleet_round(*frontend, port, plain_specs(n),
-                                   duration_s, "multireactor", 0, "");
+                                   duration_s,
+                                   scenario_tags("multireactor", 0, ""));
       multi["reactors"] = static_cast<int>(kMultiReactors);
       config.reactors = 1;
       fresh_frontend();
@@ -1490,16 +1258,17 @@ int main(int argc, char** argv) {
                    "(saturation baseline)...\n",
                    n);
       Json single = run_fleet_round(*frontend, port, plain_specs(n),
-                                    duration_s, "multireactor", 0, "");
+                                    duration_s,
+                                    scenario_tags("multireactor", 0, ""));
       single["reactors"] = 1;
       fresh_frontend();
       std::fprintf(stderr,
                    "[ajax_fanout] multireactor: %d clients on 1 reactor "
                    "(quarter load)...\n",
                    quarter);
-      Json quarter_load = run_fleet_round(*frontend, port,
-                                          plain_specs(quarter), duration_s,
-                                          "multireactor", 0, "");
+      Json quarter_load = run_fleet_round(
+          *frontend, port, plain_specs(quarter), duration_s,
+          scenario_tags("multireactor", 0, ""));
       quarter_load["reactors"] = 1;
       config.reactors = kMultiReactors;
 
@@ -1618,14 +1387,14 @@ int main(int argc, char** argv) {
       Json baseline = run_fleet_round(
           *frontend, port,
           shard_specs(shard_views, n, "", frame_interval_s), duration_s,
-          "shard", shard_views.size(), "");
+          scenario_tags("shard", shard_views.size(), ""));
       std::fprintf(stderr,
                    "[ajax_fanout] shard: %d clients, view '%s' slow...\n", n,
                    slow_view.c_str());
       Json perturbed = run_fleet_round(
           *frontend, port,
           shard_specs(shard_views, n, slow_view, frame_interval_s),
-          duration_s, "shard", shard_views.size(), slow_view);
+          duration_s, scenario_tags("shard", shard_views.size(), slow_view));
 
       Json cmp;
       cmp["clients"] = n;
@@ -1708,9 +1477,9 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr, "[ajax_fanout] %d clients for %.1f s...\n", n,
                    duration_s);
-      rounds.as_array().push_back(run_round(*frontend, port, n, duration_s,
-                                            slow_fraction, 0.0, false,
-                                            frame_interval_s));
+      rounds.as_array().push_back(run_fleet_round(
+          *frontend, port, mix_specs(n, slow_fraction, 0.0, frame_interval_s),
+          duration_s, codec_tags()));
     }
     first_round = false;
   }

@@ -1,7 +1,7 @@
 // Epoll-based bench *client* harness: one reactor thread drives thousands
 // of long-poll clients.
 //
-// The thread-per-client load generator (one blocking HttpClient + one
+// A thread-per-client load generator (one blocking HttpClient + one
 // std::thread per emulated browser) is itself the bottleneck at 4k+
 // clients on small machines: thousands of generator threads contend for
 // the same cores as the server under test, and their scheduling jitter
@@ -11,10 +11,7 @@
 // (connect → join at the live head → long-poll loop) registered on one
 // net::Reactor, so the whole load fleet costs one thread regardless of
 // client count, and slow-client think time is a reactor timer instead of a
-// sleeping thread.
-//
-// Accounting matches the thread-based client_loop in ajax_fanout.cpp
-// field-for-field, so rounds driven by either harness are comparable.
+// sleeping thread. Every ajax_fanout scenario with a live server runs on it.
 #pragma once
 
 #include <sys/epoll.h>
@@ -36,8 +33,7 @@
 
 namespace benchweb {
 
-/// Per-client tallies, shared between the thread-based and the epoll-based
-/// harnesses (and summed into the round report).
+/// Per-client tallies, summed into the round report.
 struct ClientResult {
   std::vector<double> delivery_ms;  // publish stamp -> response received
   std::vector<double> rtt_ms;       // poll request -> response
@@ -62,7 +58,7 @@ struct ClientResult {
   std::uint64_t image_frames = 0;  // bodies carrying a full image_b64
   std::uint64_t delta_breaks = 0;  // tiles whose base_seq != composited seq
   int reconnects = 0;
-  // Error breakdown (summed into `errors` by the harnesses that track it):
+  // Error breakdown (each also counted in `errors`):
   // HTTP 503s (connection cap), other non-200s, JSON/protocol failures,
   // connect/IO failures.
   std::uint64_t errors_503 = 0;

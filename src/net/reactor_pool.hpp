@@ -3,17 +3,18 @@
 // One Reactor saturates one core once enough connections are live; a
 // ReactorPool owns N reactors and runs each on its own thread. Nothing is
 // shared between them: every connection is *owned* by exactly one reactor
-// (chosen at accept time) and all of its state, timers, and buffers live on
-// that loop thread, so the wire path takes no cross-reactor locks. Work
-// that must reach a connection from elsewhere (hub completions, stream
-// producers) posts to the connection's home reactor.
+// (the one whose SO_REUSEPORT listener accepted it) and all of its state,
+// timers, and buffers live on that loop thread, so the wire path takes no
+// cross-reactor locks. Work that must reach a connection from elsewhere
+// (hub completions, stream producers) posts to the connection's home
+// reactor. A FrameHub built without a server loop runs its sweeps on a
+// one-reactor pool of its own.
 //
 // The pool is constructed with its reactors but starts their threads
 // explicitly, so callers can register fds/timers on reactor(i) before the
 // loops run (Reactor's "before run()" registration window).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <thread>
@@ -39,10 +40,6 @@ class ReactorPool {
     return reactors_[i];
   }
 
-  /// Round-robin pick (thread-safe) — the hand-off accept strategy's
-  /// distribution policy.
-  std::size_t next_index();
-
   /// Grow or shrink to `n` reactors (clamped to >= 1). Only before start():
   /// existing reactors keep their identity (callers may already hold
   /// reactor(0) for pre-start timer registration); extras must not have
@@ -61,7 +58,6 @@ class ReactorPool {
  private:
   std::vector<std::shared_ptr<Reactor>> reactors_;
   std::vector<std::thread> threads_;
-  std::atomic<std::size_t> next_{0};
   bool started_ = false;
 };
 

@@ -61,10 +61,8 @@ web::HubRegistry::Config registry_config(const RelayNodeConfig& config,
   if (!config.subscriber.views.empty()) {
     out.default_view = config.subscriber.views.front();
   }
-  // Relay shards never decimate or reap: every shard is pinned by the
-  // subscriber (its rebased seq space must survive), and every received
-  // frame must land regardless of downstream idleness.
-  out.idle_publish_divisor = 1;
+  // Relay shards are never reaped: every shard is pinned by the subscriber
+  // (its rebased seq space must survive).
   out.idle_reap_s = 0.0;
   // Downstream clients get the same session/controller stack the origin
   // runs — a relay tier must not turn paced clients back into unpaced ones.

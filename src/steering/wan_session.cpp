@@ -208,6 +208,9 @@ WanResult run_wan_session(netsim::Network& net, const WanSessionConfig& config) 
   });
 
   net.simulator().run();
+  // Each flow's completion callback holds `s`, and `s` owns the flows:
+  // drop them now that the run is over, or the pair never frees.
+  s->flows.clear();
   return s->result;
 }
 

@@ -103,6 +103,7 @@ class BitReader {
       nbits_ -= 8;
       --count;
     }
+    if (count == 0) return;  // memcpy must not see a null empty block
     if (pos_ + count > n_) throw std::runtime_error("inflate: truncated block");
     std::memcpy(dst, data_ + pos_, count);
     pos_ += count;

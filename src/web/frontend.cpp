@@ -311,8 +311,6 @@ HubRegistry::Config registry_config_of(const FrontEndConfig& config,
   registry.hub.reactor = reactor;
   registry.pacing = pacing_of(config);
   registry.idle_reap_s = config.view_idle_reap_s;
-  registry.idle_publish_divisor = config.idle_publish_divisor;
-  registry.idle_publish_after_s = config.idle_publish_after_s;
   return registry;
 }
 
@@ -333,9 +331,6 @@ AjaxFrontEnd::AjaxFrontEnd(FrontEndConfig config)
   // set_reactors keeps reactor(0)'s identity, so the hub sweeps the
   // registry registered on it above stay valid.
   server_.set_reactors(config_.reactors);
-  server_.set_accept_mode(config_.accept_hand_off
-                              ? HttpServer::AcceptMode::kHandOff
-                              : HttpServer::AcceptMode::kReusePort);
   register_routes();
 }
 
@@ -452,10 +447,6 @@ void AjaxFrontEnd::frame_loop() {
     registry_.publish(registry_.default_view_name(), std::move(state),
                       frame.image, build_half);
     for (const ViewSpec& spec : config_.views) {
-      // An idle-decimated view skips the rasterization itself, not just the
-      // hub-side snapshot/encode: wants_publish advances the same skip
-      // counter the publish path checks, keeping the 1-in-N cadence exact.
-      if (!registry_.wants_publish(spec.name)) continue;
       const auto exec = session_.render_view(spec.viz, spec.camera);
       if (!exec) continue;
       util::Json view_state;

@@ -73,19 +73,10 @@ struct FrontEndConfig {
   /// reactor threads, and the monitor loop this bounds *every* server-side
   /// thread — client count never adds threads.
   std::size_t http_workers = 4;
-  /// Reactor (event-loop) threads; each owns its accepted connections
-  /// outright. 1 reproduces the single-loop server.
+  /// Reactor (event-loop) threads, each with its own SO_REUSEPORT
+  /// listener; each owns its accepted connections outright. 1 reproduces
+  /// the single-loop server.
   std::size_t reactors = 1;
-  /// Accept strategy with reactors > 1: false = SO_REUSEPORT listener per
-  /// reactor (kernel balances), true = one listener handing sockets off
-  /// round-robin (for kernels/tests where REUSEPORT balancing is unwanted).
-  bool accept_hand_off = false;
-  /// Publish decimation for views nobody is watching (see
-  /// HubRegistry::Config::idle_publish_divisor). 1 disables.
-  std::size_t idle_publish_divisor = 1;
-  /// Seconds without subscriber activity before a view counts as idle for
-  /// publish decimation.
-  double idle_publish_after_s = 10.0;
   /// Accepted-connection cap; connections beyond it get 503.
   std::size_t max_connections = 8192;
   /// Fixed SO_SNDBUF for accepted connections (0 = kernel autotuning).

@@ -7,7 +7,7 @@
 // request parsing, and response writes are state machines advanced by
 // readiness events — and a small worker pool runs the route handlers.
 // Every connection is owned end-to-end by the reactor that accepted it
-// (SO_REUSEPORT listeners, or round-robin hand-off), so the wire path
+// (one SO_REUSEPORT listener per reactor), so the wire path
 // needs no cross-reactor locks; responses leave through a refcounted
 // BufferChain gathered into writev, so a frame body fanned out to N
 // clients is never copied per client. An idle long-poll client costs one
@@ -237,24 +237,14 @@ class HttpServer {
   void set_max_connections(std::size_t max_connections);
 
   /// Reactor thread count (call before start()). With n > 1 the wire path
-  /// shards: each reactor *owns* the connections it accepted — their
-  /// buffers, timers, and epoll registration all live on that loop thread,
-  /// and completions from elsewhere post to the connection's home reactor.
-  /// No cross-reactor locking anywhere on the wire path.
+  /// shards: every reactor binds its own SO_REUSEPORT listener, the kernel
+  /// balances accepts across them, and each reactor *owns* the connections
+  /// it accepted — their buffers, timers, and epoll registration all live
+  /// on that loop thread, and completions from elsewhere post to the
+  /// connection's home reactor. No cross-reactor locking anywhere on the
+  /// wire path.
   void set_reactors(std::size_t n);
   std::size_t reactor_count() const noexcept { return reactors_.size(); }
-
-  /// How a new connection finds its owning reactor when reactor_count()>1.
-  enum class AcceptMode {
-    /// One SO_REUSEPORT listener per reactor; the kernel balances accepts
-    /// across them (default — no hand-off hop, no shared accept state).
-    kReusePort,
-    /// Single listener on reactor 0; accepted sockets are handed to their
-    /// owner round-robin via task posting. Fallback for stacks without
-    /// usable SO_REUSEPORT balancing.
-    kHandOff
-  };
-  void set_accept_mode(AcceptMode mode);
 
   /// Fix SO_SNDBUF on every accepted connection (0 = kernel default with
   /// autotuning). Bounding the kernel's send backlog makes write-side
@@ -267,7 +257,7 @@ class HttpServer {
   /// The *primary* event loop (reactor 0). Valid for the server's
   /// lifetime; loop threads run between start() and stop(). Exposed so
   /// co-located subsystems (FrameHub pacing/timeout sweeps) can register
-  /// timers on a server loop instead of spawning their own timer threads.
+  /// timers on a server loop instead of starting a loop of their own.
   net::Reactor& reactor() noexcept { return reactors_.reactor(0); }
 
  private:
@@ -318,7 +308,6 @@ class HttpServer {
   /// addresses for the server's lifetime (Connections point into it).
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<util::ThreadPool> pool_;
-  AcceptMode accept_mode_ = AcceptMode::kReusePort;
   int sndbuf_ = 0;
 
   int port_ = 0;

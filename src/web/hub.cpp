@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "net/reactor.hpp"
+#include "net/reactor_pool.hpp"
 #include "util/base64.hpp"
 
 namespace ricsa::web {
@@ -64,6 +65,11 @@ std::string render_tiles_body(std::uint64_t seq, Tier tier,
   return out.dump();
 }
 
+/// Dirty-pixel fraction at or above which an image delta falls back to the
+/// full image: when most of the frame changed, per-tile bookkeeping costs
+/// more than it saves.
+constexpr double kFullTileFraction = 0.85;
+
 /// Timeouts from the network are untrusted input: NaN must not reach the
 /// deadline arithmetic and a negative wait means "do not wait".
 double sanitize_timeout(double timeout_s, double max_wait_s) {
@@ -87,47 +93,33 @@ FrameHub::FrameHub() : FrameHub(Config()) {}
 FrameHub::FrameHub(Config config) : config_(config) {
   if (config_.window == 0) config_.window = 1;
   pool_ = std::make_unique<util::ThreadPool>(config_.workers);
-  if (config_.reactor != nullptr) {
-    link_ = std::make_shared<ReactorLink>();
-    link_->hub = this;
-  } else {
-    timer_ = std::thread([this] { timer_loop(); });
+  if (config_.reactor == nullptr) {
+    own_loop_ = std::make_unique<net::ReactorPool>(1);
+    own_loop_->start();
+    config_.reactor = &own_loop_->reactor(0);
   }
+  link_ = std::make_shared<ReactorLink>();
+  link_->hub = this;
 }
 
 FrameHub::~FrameHub() { shutdown(); }
 
 std::uint64_t FrameHub::publish(util::Json state, const viz::Image& image,
                                 bool build_half) {
-  if (image.width() == 0 || image.height() == 0) {
-    return publish_impl(std::move(state), {}, {}, nullptr, nullptr);
-  }
-  auto raw_full = std::make_shared<const viz::Image>(image);
+  // An empty image publishes an image-less frame: no raws, no PNGs.
+  std::shared_ptr<const viz::Image> raw_full;
   std::shared_ptr<const viz::Image> raw_half;
-  if (build_half) {
-    raw_half = std::make_shared<const viz::Image>(viz::downsample(image, 2));
+  std::vector<std::uint8_t> png;
+  std::vector<std::uint8_t> png_half;
+  if (image.width() > 0 && image.height() > 0) {
+    raw_full = std::make_shared<const viz::Image>(image);
+    png = raw_full->encode_png();
+    if (build_half) {
+      raw_half = std::make_shared<const viz::Image>(viz::downsample(image, 2));
+      png_half = raw_half->encode_png();
+    }
   }
-  // Encode before the argument list: a moved-from shared_ptr must not be
-  // dereferenced by a sibling argument (evaluation order is unspecified).
-  std::vector<std::uint8_t> png = raw_full->encode_png();
-  std::vector<std::uint8_t> png_half =
-      raw_half ? raw_half->encode_png() : std::vector<std::uint8_t>{};
-  return publish_impl(std::move(state), std::move(png), std::move(png_half),
-                      std::move(raw_full), std::move(raw_half));
-}
 
-std::uint64_t FrameHub::publish(util::Json state,
-                                std::vector<std::uint8_t> png) {
-  // No raw pixels: no reduced image (half tier falls back to the full body)
-  // and no tile deltas (image changes resend the whole image).
-  return publish_impl(std::move(state), std::move(png), {}, nullptr, nullptr);
-}
-
-std::uint64_t FrameHub::publish_impl(util::Json state,
-                                     std::vector<std::uint8_t> png,
-                                     std::vector<std::uint8_t> png_half,
-                                     std::shared_ptr<const viz::Image> raw_full,
-                                     std::shared_ptr<const viz::Image> raw_half) {
   // Publishers serialize here, which lets the expensive work — delta
   // encoding, one base64 per image tier, rendering the per-tier response
   // bodies — happen without holding mutex_, so concurrent polls never stall
@@ -182,7 +174,7 @@ std::uint64_t FrameHub::publish_impl(util::Json state,
     }
     const viz::TileGrid grid(raw->width(), raw->height(), config_.tile_size);
     td.dirty = grid.diff(*prev_raw, *raw);
-    if (grid.dirty_fraction(td.dirty) >= config_.full_tile_fraction) {
+    if (grid.dirty_fraction(td.dirty) >= kFullTileFraction) {
       td.dirty.clear();
       continue;  // most of the frame changed: full image is the delta
     }
@@ -364,11 +356,9 @@ std::uint64_t FrameHub::commit_frame(std::shared_ptr<Frame> frame,
     }
     waiters_remain = !waiters_.empty();
   }
-  sync_cv_.notify_all();
-  timer_cv_.notify_all();
   // Waiters held back by pacing (not_before) now have a frame: the reactor
   // sweep timer must move up to the earliest such instant.
-  if (link_ && waiters_remain) request_reschedule(remain_hint);
+  if (waiters_remain) request_reschedule(remain_hint);
   return frame->seq;
 }
 
@@ -442,7 +432,7 @@ std::string FrameHub::delta_body_for(const FramePtr& frame,
   // against the served one. Tighter than the union of per-frame dirty sets
   // (a tile that changed and changed back drops out entirely).
   const viz::TileSet dirty = grid.diff(*base_raw, *cur_raw);
-  if (grid.dirty_fraction(dirty) >= config_.full_tile_fraction) return {};
+  if (grid.dirty_fraction(dirty) >= kFullTileFraction) return {};
 
   // Per-tile newest changer across the skipped range: that frame's rect
   // holds the tile's current content (nothing newer touched it) — and its
@@ -590,37 +580,13 @@ void FrameHub::wait_async(std::uint64_t since, const WaitOptions& options,
   }
   if (registered) {
     // The new waiter's deadline (or pacing instant) may be the nearest
-    // event: wake whichever sweeper — timer thread or reactor timer — so
-    // it can re-derive its wait.
-    if (link_) {
-      request_reschedule(new_event);
-    } else {
-      timer_cv_.notify_all();
-    }
+    // event: the reactor re-derives its sweep timer.
+    request_reschedule(new_event);
     return;
   }
   // Caller's thread completes immediately — no pool round-trip when the
   // frame already exists (the catch-up path).
   done(ready);
-}
-
-FramePtr FrameHub::wait(std::uint64_t since, double timeout_s) {
-  timeout_s = sanitize_timeout(timeout_s, config_.max_wait_s);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(timeout_s);
-  std::unique_lock<std::mutex> lock(mutex_);
-  // Same stale-cursor resync as wait_async: never park against a seq from a
-  // previous epoch.
-  if (since > seq_) since = seq_;
-  sync_cv_.wait_until(lock, deadline,
-                      [&] { return shutdown_ || seq_ > since; });
-  FramePtr out = next_after_locked(since);
-  if (out) {
-    stats_.served++;
-  } else {
-    stats_.timeouts++;
-  }
-  return out;
 }
 
 std::chrono::steady_clock::time_point FrameHub::next_event_locked() const {
@@ -660,27 +626,6 @@ void FrameHub::sweep_due_locked(std::chrono::steady_clock::time_point now) {
     pool_->submit([done = std::move(done), frame = std::move(frame)] {
       done(frame);
     });
-  }
-}
-
-void FrameHub::timer_loop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (!shutdown_) {
-    if (waiters_.empty()) {
-      timer_cv_.wait(lock,
-                     [this] { return shutdown_ || !waiters_.empty(); });
-      continue;
-    }
-    const auto earliest = next_event_locked();
-    timer_cv_.wait_until(lock, earliest, [this, earliest] {
-      if (shutdown_ || waiters_.empty()) return true;
-      // Re-check: publish drained the list, a publish made a paced waiter
-      // actionable, or a nearer deadline arrived.
-      if (next_event_locked() < earliest) return true;
-      return std::chrono::steady_clock::now() >= earliest;
-    });
-    if (shutdown_) break;
-    sweep_due_locked(std::chrono::steady_clock::now());
   }
 }
 
@@ -738,14 +683,12 @@ void FrameHub::shutdown() {
     stats_.timeouts += orphans.size();
     stats_.waiting = 0;
   }
-  timer_cv_.notify_all();
-  sync_cv_.notify_all();
-  if (timer_.joinable()) timer_.join();
-  if (link_) {
+  {
     // Sever the reactor link: timers/tasks already queued find a null hub.
     std::lock_guard<std::mutex> guard(link_->mutex);
     link_->hub = nullptr;
   }
+  if (own_loop_) own_loop_->stop();
   for (auto& w : orphans) {
     pool_->submit([done = std::move(w.done)] { done(nullptr); });
   }

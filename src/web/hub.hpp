@@ -24,14 +24,12 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "util/json.hpp"
@@ -41,6 +39,7 @@
 
 namespace ricsa::net {
 class Reactor;
+class ReactorPool;
 }
 
 namespace ricsa::web {
@@ -169,16 +168,11 @@ class FrameHub {
     /// Tile edge (pixels) of the dirty-rect grid image deltas are encoded
     /// on. Edge tiles are clamped to partial width/height.
     int tile_size = 64;
-    /// Dirty-pixel fraction at or above which an image delta falls back to
-    /// the full image: when most of the frame changed, per-tile bookkeeping
-    /// costs more than it saves.
-    double full_tile_fraction = 0.85;
-    /// When set, waiter timeouts and pacing `not_before` sweeps become
-    /// timer registrations on this reactor instead of a dedicated hub
-    /// timer thread — one event loop serves connection readiness and hub
-    /// deadlines alike. The reactor's loop must be stopped before the hub
-    /// is destroyed (AjaxFrontEnd stops the HTTP server first, which
-    /// guarantees it). Null keeps the self-contained timer thread.
+    /// Event loop for waiter timeouts and pacing `not_before` sweeps: one
+    /// loop serves connection readiness and hub deadlines alike. The
+    /// reactor's loop must be stopped before the hub is destroyed
+    /// (AjaxFrontEnd stops the HTTP server first, which guarantees it).
+    /// Null makes the hub start and own a one-thread loop of its own.
     net::Reactor* reactor = nullptr;
     /// Frames that keep their raw framebuffers (0 = the whole window). Raw
     /// retention is what makes hub memory scale as `window × W×H×4` per
@@ -235,12 +229,10 @@ class FrameHub {
   /// window, and fan out to every satisfied waiter on the worker pool.
   /// `build_half` skips the downsample + second encode when no client
   /// currently occupies the half tier (the common all-fast case) — such
-  /// frames serve the full body to half-tier requests. Returns the new seq.
+  /// frames serve the full body to half-tier requests. An empty image
+  /// publishes an image-less frame. Returns the new seq.
   std::uint64_t publish(util::Json state, const viz::Image& image,
                         bool build_half = true);
-  /// Pre-encoded flavour (tests, image-less publishers): no reduced image
-  /// exists, so the half tier serves the full body.
-  std::uint64_t publish(util::Json state, std::vector<std::uint8_t> png);
 
   /// A frame received from an upstream hub over the wire, already rendered
   /// into poll-body JSON (seq fields rebased into this hub's seq space by
@@ -297,11 +289,8 @@ class FrameHub {
   void wait_async(std::uint64_t since, double timeout_s,
                   std::function<void(FramePtr)> done);
 
-  /// Blocking flavour for in-process consumers.
-  FramePtr wait(std::uint64_t since, double timeout_s);
-
-  /// Complete all parked waiters with nullptr, refuse new ones, and join
-  /// the timer thread and worker pool. Idempotent.
+  /// Complete all parked waiters with nullptr, refuse new ones, stop the
+  /// hub's own loop (if it owns one) and join the worker pool. Idempotent.
   void shutdown();
 
   /// True once shutdown() began: lets a long-lived subscriber (an SSE
@@ -326,10 +315,6 @@ class FrameHub {
     FrameHub* hub = nullptr;
   };
 
-  std::uint64_t publish_impl(util::Json state, std::vector<std::uint8_t> png,
-                             std::vector<std::uint8_t> png_half,
-                             std::shared_ptr<const viz::Image> raw_full,
-                             std::shared_ptr<const viz::Image> raw_half);
   /// Stats deltas a frame build accumulates for commit_frame.
   struct EncodeCost {
     std::uint64_t encodes = 0;    // PNG/base64 encodes performed
@@ -352,8 +337,7 @@ class FrameHub {
   /// Complete every waiter that is due at `now` (timeout or pacing
   /// interval elapsed with a frame available). Requires mutex_.
   void sweep_due_locked(std::chrono::steady_clock::time_point now);
-  void timer_loop();
-  // Reactor-mode scheduling (reactor loop thread only, under link mutex).
+  // Sweep scheduling (reactor loop thread only, under link mutex).
   /// `hint` is the event instant that prompted the call: when the armed
   /// timer already fires no later than it, nothing needs rescheduling —
   /// the common case for each new waiter, avoiding an O(waiters) rescan
@@ -366,16 +350,15 @@ class FrameHub {
   /// Serializes publishers so frame building happens outside mutex_.
   std::mutex publish_mutex_;
   mutable std::mutex mutex_;
-  std::condition_variable timer_cv_;  // wakes the timeout/pacing sweeper
-  std::condition_variable sync_cv_;   // wakes blocking wait()ers
   std::deque<FramePtr> window_;
   std::uint64_t seq_ = 0;
   std::vector<Waiter> waiters_;
   bool shutdown_ = false;
   Stats stats_;
   std::unique_ptr<util::ThreadPool> pool_;
-  std::thread timer_;  // thread mode only
-  // Reactor mode only:
+  /// The loop the hub starts when Config::reactor is null; config_.reactor
+  /// then points at its one reactor.
+  std::unique_ptr<net::ReactorPool> own_loop_;
   std::shared_ptr<ReactorLink> link_;
   std::uint64_t reactor_timer_ = 0;  // reactor loop thread only
   /// Expiry the armed reactor timer targets (loop thread only).

@@ -41,6 +41,13 @@ struct ShapeCase {
   float param_a, param_b;
 };
 
+// Printed as shape and grid size, which also names each discovered case:
+// the default printer dumps the raw bytes of `name`, a pointer, so the case
+// names would change with every run.
+void PrintTo(const ShapeCase& sc, std::ostream* os) {
+  *os << sc.name << "_" << sc.size;
+}
+
 class WatertightSurfaces : public ::testing::TestWithParam<ShapeCase> {};
 
 TEST_P(WatertightSurfaces, ClosedManifoldAtEveryInteriorIsovalue) {

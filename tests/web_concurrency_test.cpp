@@ -1,7 +1,7 @@
 // Concurrency tests for the long-poll broadcast hub: 64 simultaneous
 // browsers (including a slow-consumer mix) against one AjaxFrontEnd, plus
-// FrameHub unit coverage for delta encoding, window eviction, timeouts and
-// shutdown ordering.
+// FrameHub unit coverage for delta encoding, window eviction, timeouts,
+// pacing sweeps on the hub's own loop, and shutdown ordering.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +12,7 @@
 
 #include "time_scale.hpp"
 #include "util/json.hpp"
+#include "viz/image.hpp"
 #include "web/frontend.hpp"
 #include "web/http.hpp"
 #include "web/hub.hpp"
@@ -153,13 +154,26 @@ Json state_of(const char* cycle, double value) {
   s["value"] = value;
   return s;
 }
+
+/// An empty image: publish() makes an image-less frame of it.
+const ricsa::viz::Image kNoImage;
+
+/// Spin until `done` holds or five seconds pass.
+template <typename Pred>
+void await(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 }  // namespace
 
 TEST(FrameHub, DeltaBodyCarriesOnlyChangedKeys) {
   w::FrameHub hub(w::FrameHub::Config{4, 1, 5.0});
-  hub.publish(state_of("density", 1.0), std::vector<std::uint8_t>{0xAA, 0xBB});
-  hub.publish(state_of("density", 2.0),
-              std::vector<std::uint8_t>{0xAA, 0xBB});  // same image bytes
+  const ricsa::viz::Image image(8, 8, {10, 20, 30, 255});
+  hub.publish(state_of("density", 1.0), image);
+  hub.publish(state_of("density", 2.0), image);  // same pixels
 
   const w::FramePtr frame = hub.latest();
   ASSERT_TRUE(frame);
@@ -178,8 +192,7 @@ TEST(FrameHub, DeltaBodyCarriesOnlyChangedKeys) {
   EXPECT_TRUE(full.contains("image_b64"));
   EXPECT_EQ(full.at("tier").as_string(), "full");
 
-  // The state-only tier never carries an image; the half tier reuses the
-  // given PNG bytes when publish() received pre-encoded input.
+  // The state-only tier never carries an image.
   const Json state_only = Json::parse(frame->body(w::Tier::kStateOnly, false));
   EXPECT_FALSE(state_only.contains("image_b64"));
   EXPECT_EQ(state_only.at("tier").as_string(), "state");
@@ -188,7 +201,7 @@ TEST(FrameHub, DeltaBodyCarriesOnlyChangedKeys) {
 
 TEST(FrameHub, WindowEvictionBoundsMemoryAndJumpsMinimally) {
   w::FrameHub hub(w::FrameHub::Config{3, 1, 5.0});
-  for (int i = 1; i <= 10; ++i) hub.publish(state_of("density", i), std::vector<std::uint8_t>{});
+  for (int i = 1; i <= 10; ++i) hub.publish(state_of("density", i), kNoImage);
 
   EXPECT_EQ(hub.seq(), 10u);
   EXPECT_EQ(hub.oldest_retained(), 8u);  // window of 3: frames 8, 9, 10
@@ -205,7 +218,7 @@ TEST(FrameHub, WindowEvictionBoundsMemoryAndJumpsMinimally) {
 
 TEST(FrameHub, WaitAsyncCompletesInlineWhenFrameExists) {
   w::FrameHub hub(w::FrameHub::Config{4, 1, 5.0});
-  hub.publish(state_of("density", 1.0), std::vector<std::uint8_t>{});
+  hub.publish(state_of("density", 1.0), kNoImage);
 
   std::atomic<bool> done{false};
   hub.wait_async(0, 1.0, [&](w::FramePtr frame) {
@@ -224,7 +237,7 @@ TEST(FrameHub, WaitAsyncFiresOnPublishFromWorkerThread) {
   });
   EXPECT_EQ(got.load(), 0u);  // parked
 
-  hub.publish(state_of("density", 1.0), std::vector<std::uint8_t>{});
+  hub.publish(state_of("density", 1.0), kNoImage);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (got.load() == 0 && std::chrono::steady_clock::now() < deadline) {
@@ -236,10 +249,18 @@ TEST(FrameHub, WaitAsyncFiresOnPublishFromWorkerThread) {
 TEST(FrameHub, WaitTimesOutWithoutAFrame) {
   w::FrameHub hub(w::FrameHub::Config{4, 1, 5.0});
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(hub.wait(0, 0.05), nullptr);
-  EXPECT_GE(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count(),
-            0.045);
+  std::atomic<bool> timed_out{false};
+  std::atomic<double> waited_s{0.0};
+  hub.wait_async(0, 0.05, [&](w::FramePtr frame) {
+    EXPECT_EQ(frame, nullptr);
+    waited_s = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+    timed_out = true;
+  });
+  await([&] { return timed_out.load(); });
+  ASSERT_TRUE(timed_out.load());
+  EXPECT_GE(waited_s.load(), 0.045);
   EXPECT_EQ(hub.stats().timeouts, 1u);
 }
 
@@ -271,7 +292,7 @@ TEST(FrameHub, ShutdownFlushesParkedWaitersAndRefusesNewOnes) {
   EXPECT_EQ(completions.load(), 8);
 
   // Post-shutdown interactions are inert, not crashes.
-  EXPECT_EQ(hub.publish(state_of("density", 1.0), std::vector<std::uint8_t>{}),
+  EXPECT_EQ(hub.publish(state_of("density", 1.0), kNoImage),
             0u);
   std::atomic<bool> refused{false};
   hub.wait_async(0, 1.0, [&](w::FramePtr frame) {
@@ -279,7 +300,6 @@ TEST(FrameHub, ShutdownFlushesParkedWaitersAndRefusesNewOnes) {
     refused = true;
   });
   EXPECT_TRUE(refused.load());
-  EXPECT_EQ(hub.wait(0, 0.01), nullptr);
 }
 
 TEST(FrameHub, FutureCursorsResyncInsteadOfParkingForever) {
@@ -298,7 +318,7 @@ TEST(FrameHub, FutureCursorsResyncInsteadOfParkingForever) {
     EXPECT_EQ(frame->seq, 1u);
     ++fired;
   });
-  hub.publish(state_of("density", 1.0), std::vector<std::uint8_t>{});
+  hub.publish(state_of("density", 1.0), kNoImage);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (fired.load() == 0 && std::chrono::steady_clock::now() < deadline) {
@@ -315,21 +335,69 @@ TEST(FrameHub, FutureCursorsResyncInsteadOfParkingForever) {
     ++resynced;
   });
   EXPECT_EQ(resynced.load(), 0);  // parked, not answered instantly
-  hub.publish(state_of("density", 2.0), std::vector<std::uint8_t>{});
+  hub.publish(state_of("density", 2.0), kNoImage);
   while (resynced.load() == 0 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(resynced.load(), 1);
 
-  // The blocking flavour resyncs the same way.
+  // A publish from another thread resyncs a parked future cursor the same
+  // way.
+  std::atomic<std::uint64_t> later{0};
+  hub.wait_async(500, 5.0, [&](w::FramePtr frame) {
+    later = frame ? frame->seq : 0;
+  });
   std::thread publisher([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    hub.publish(state_of("density", 3.0), std::vector<std::uint8_t>{});
+    hub.publish(state_of("density", 3.0), kNoImage);
   });
-  const w::FramePtr blocking = hub.wait(500, 5.0);
   publisher.join();
-  ASSERT_NE(blocking, nullptr);
-  EXPECT_EQ(blocking->seq, 3u);
+  await([&] { return later.load() != 0; });
+  EXPECT_EQ(later.load(), 3u);
+}
+
+TEST(FrameHub, OwnLoopFiresTimeoutsAndPacedSweepsThenGoesQuiet) {
+  // No Config::reactor: the hub runs its sweeps on a loop it starts itself.
+  w::FrameHub hub(w::FrameHub::Config{4, 2, 5.0});
+  using Clock = std::chrono::steady_clock;
+
+  hub.publish(state_of("density", 1.0), kNoImage);
+  const auto t0 = Clock::now();
+
+  // A waiter at the head: nothing newer arrives, so it times out.
+  std::atomic<int> timeouts{0};
+  hub.wait_async(1, 0.05, [&](w::FramePtr frame) {
+    if (frame == nullptr) ++timeouts;
+  });
+
+  // A paced waiter: its frame already exists, but not_before holds it back
+  // until the sweep serves it.
+  w::FrameHub::WaitOptions paced;
+  paced.timeout_s = 5.0;
+  paced.not_before = t0 + std::chrono::milliseconds(80);
+  std::atomic<std::uint64_t> paced_seq{0};
+  std::atomic<double> paced_at_s{0.0};
+  hub.wait_async(0, paced, [&](w::FramePtr frame) {
+    paced_at_s = std::chrono::duration<double>(Clock::now() - t0).count();
+    paced_seq = frame ? frame->seq : 0;
+  });
+  EXPECT_EQ(paced_seq.load(), 0u);  // parked despite the available frame
+
+  await([&] { return timeouts.load() == 1 && paced_seq.load() != 0; });
+  EXPECT_EQ(timeouts.load(), 1);
+  EXPECT_EQ(paced_seq.load(), 1u);
+  EXPECT_GE(paced_at_s.load(), 0.075);
+
+  // Waiters parked at shutdown complete inside shutdown(); nothing runs
+  // after it returns, not even a sweep whose deadline passes later.
+  std::atomic<int> calls{0};
+  hub.wait_async(1, 0.02, [&](w::FramePtr) { ++calls; });
+  hub.wait_async(1, 5.0, [&](w::FramePtr) { ++calls; });
+  hub.shutdown();
+  const int at_shutdown = calls.load();
+  EXPECT_EQ(at_shutdown, 2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  EXPECT_EQ(calls.load(), at_shutdown);
 }
 
 // ------------------------------------------------------ HttpClient reuse ----
@@ -395,14 +463,6 @@ TEST(MultiReactor, ReusePortAcceptServesKeepAliveClientsAcrossReactors) {
   w::HttpServer server;
   server.set_reactors(4);
   ASSERT_EQ(server.reactor_count(), 4u);
-  server.route("GET", "/echo", echo_handler());
-  exercise_multireactor(server, 16, 25);
-}
-
-TEST(MultiReactor, HandOffAcceptServesKeepAliveClientsAcrossReactors) {
-  w::HttpServer server;
-  server.set_reactors(4);
-  server.set_accept_mode(w::HttpServer::AcceptMode::kHandOff);
   server.route("GET", "/echo", echo_handler());
   exercise_multireactor(server, 16, 25);
 }

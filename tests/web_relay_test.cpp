@@ -123,10 +123,7 @@ TEST(PublishEncoded, RegistryPathDeclaresViewsAndSkipsDecimation) {
   config.hub.window = 8;
   config.hub.workers = 1;
   config.idle_reap_s = 0.0;
-  // Aggressive decimation that publish_encoded must bypass: the relayed
-  // body is already rebased, every frame must land.
-  config.idle_publish_divisor = 8;
-  config.idle_publish_after_s = 0.0;
+  // The relayed body is already rebased: every frame must land.
   w::HubRegistry registry(config);
   for (std::uint64_t i = 1; i <= 6; ++i) {
     w::FrameHub::PreEncoded pre;
@@ -134,41 +131,6 @@ TEST(PublishEncoded, RegistryPathDeclaresViewsAndSkipsDecimation) {
     EXPECT_EQ(registry.publish_encoded("relayed", std::move(pre)), i);
   }
   EXPECT_EQ(registry.find("relayed")->seq(), 6u);
-  registry.shutdown();
-}
-
-// --------------------------------------------- render-skip decimation ----
-
-TEST(WantsPublish, MirrorsIdleDecimationCadence) {
-  w::HubRegistry::Config config;
-  config.hub.window = 16;
-  config.hub.workers = 1;
-  config.idle_reap_s = 0.0;
-  config.idle_publish_divisor = 3;
-  // A fresh shard's last-subscribe stamp is the steady-clock epoch, so any
-  // positive horizon makes an unsubscribed view idle immediately while a
-  // just-subscribed one stays at full rate.
-  config.idle_publish_after_s = 5.0;
-  w::HubRegistry registry(config);
-
-  ricsa::viz::Image img(16, 16, {1, 2, 3, 255});
-  // First publish is always real (the shard needs a head frame).
-  EXPECT_TRUE(registry.wants_publish("v"));
-  EXPECT_EQ(registry.publish("v", Json(), img, false), 1u);
-  // Idle view at divisor 3: of every 3 offered frames, 2 are declined
-  // before the render and the third goes through — the same 1-in-N cadence
-  // hub_for_publish enforces when the render cannot be skipped.
-  int rendered = 0;
-  for (int i = 0; i < 9; ++i) {
-    if (!registry.wants_publish("v")) continue;
-    ++rendered;
-    registry.publish("v", Json(), img, false);
-  }
-  EXPECT_EQ(rendered, 3);
-  EXPECT_EQ(registry.find("v")->seq(), 4u);
-  // Subscriber activity resumes the full rate immediately.
-  registry.subscribe("v");
-  EXPECT_TRUE(registry.wants_publish("v"));
   registry.shutdown();
 }
 
