@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot computational kernels:
 // isosurface extraction, ray casting, streamline advection, the DP mapper,
-// software rasterization, PNG encoding and the message codec. These are the
-// raw throughput numbers behind the calibrated cost models.
+// software rasterization and the message codec. These are the raw throughput
+// numbers behind the calibrated cost models. PNG encoding is measured on
+// rendered frames by png_corpus.cpp.
 #include <benchmark/benchmark.h>
 
 #include "core/mapper.hpp"
@@ -10,7 +11,6 @@
 #include "hydro/setups.hpp"
 #include "steering/message.hpp"
 #include "util/prng.hpp"
-#include "viz/image.hpp"
 #include "viz/isosurface.hpp"
 #include "viz/rasterizer.hpp"
 #include "viz/raycast.hpp"
@@ -128,25 +128,6 @@ void BM_HydroStep(benchmark::State& state) {
   state.SetLabel("cell-updates/s");
 }
 BENCHMARK(BM_HydroStep)->Arg(24)->Arg(48);
-
-void BM_PngEncode(benchmark::State& state) {
-  viz::Image img(256, 256);
-  util::Xoshiro256 rng(3);
-  for (int y = 0; y < 256; ++y) {
-    for (int x = 0; x < 256; ++x) {
-      img.at(x, y) = {static_cast<std::uint8_t>(rng() & 0xFF),
-                      static_cast<std::uint8_t>(rng() & 0xFF),
-                      static_cast<std::uint8_t>(rng() & 0xFF), 255};
-    }
-  }
-  for (auto _ : state) {
-    const auto png = img.encode_png();
-    benchmark::DoNotOptimize(png.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(img.bytes()));
-}
-BENCHMARK(BM_PngEncode);
 
 void BM_MessageRoundTrip(benchmark::State& state) {
   steering::Message m = steering::make_viz_request(1, "isosurface", 0.5f, 512, 512);

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 
 namespace ricsa::viz {
@@ -50,6 +53,11 @@ class BitWriter {
     std::uint32_t rev = 0;
     for (int i = 0; i < n; ++i) rev = (rev << 1) | ((code >> i) & 1);
     put(rev, n);
+  }
+
+  /// Append whole bytes; only valid right after align().
+  void put_bytes(const std::uint8_t* data, std::size_t n) {
+    out_.insert(out_.end(), data, data + n);
   }
 
   /// Pad to the next byte boundary with zero bits (stored-block prefix).
@@ -148,17 +156,43 @@ constexpr std::uint8_t kDistExtra[30] = {0, 0, 0,  0,  1,  1,  2,  2,  3,  3,
 constexpr std::uint8_t kClOrder[19] = {16, 17, 18, 0, 8,  7, 9,  6, 10, 5,
                                        11, 4,  12, 3, 13, 2, 14, 1, 15};
 
+/// Length code (0..28) of every match length, indexed by len - kMinMatch.
+constexpr auto kLengthCode = [] {
+  std::array<std::uint8_t, kMaxMatch - kMinMatch + 1> t{};
+  int code = 0;
+  for (int len = kMinMatch; len <= kMaxMatch; ++len) {
+    while (code < 28 && kLengthBase[code + 1] <= len) ++code;
+    t[static_cast<std::size_t>(len - kMinMatch)] =
+        static_cast<std::uint8_t>(code);
+  }
+  return t;
+}();
+
+/// Distance code (0..29) by dist - 1: entries [0, 256) are direct; past
+/// that every code boundary is a multiple of 128, so entry 256 + (d >> 7)
+/// serves distances up to the 32 KiB window (zlib's _dist_code layout).
+constexpr auto kDistCode = [] {
+  std::array<std::uint8_t, 512> t{};
+  int code = 0;
+  for (int d = 0; d < 256; ++d) {
+    while (code < 29 && kDistBase[code + 1] <= d + 1) ++code;
+    t[static_cast<std::size_t>(d)] = static_cast<std::uint8_t>(code);
+  }
+  for (int d = 256; d < kWindowSize; d += 128) {
+    while (code < 29 && kDistBase[code + 1] <= d + 1) ++code;
+    t[static_cast<std::size_t>(256 + (d >> 7))] =
+        static_cast<std::uint8_t>(code);
+  }
+  return t;
+}();
+
 int length_code(int len) {
-  // len in [3, 258]; linear scan is fine (29 entries, called per match).
-  int code = 28;
-  while (code > 0 && kLengthBase[code] > len) --code;
-  return code;
+  return kLengthCode[static_cast<std::size_t>(len - kMinMatch)];
 }
 
 int dist_code(int dist) {
-  int code = 29;
-  while (code > 0 && kDistBase[code] > dist) --code;
-  return code;
+  const int d = dist - 1;
+  return kDistCode[static_cast<std::size_t>(d < 256 ? d : 256 + (d >> 7))];
 }
 
 /// Fixed-Huffman literal/length code for symbol `sym` (0..287): returns
@@ -230,13 +264,13 @@ void emit_stored_block(BitWriter& bw, const std::uint8_t* data,
     bw.put((final && chunk == len) ? 1 : 0, 1);
     bw.put(0, 2);  // BTYPE=00: stored
     bw.align();
-    const std::vector<std::uint8_t> header = {
+    const std::uint8_t header[4] = {
         static_cast<std::uint8_t>(chunk & 0xFF),
         static_cast<std::uint8_t>(chunk >> 8),
         static_cast<std::uint8_t>(~chunk & 0xFF),
         static_cast<std::uint8_t>((~chunk >> 8) & 0xFF)};
-    for (const std::uint8_t b : header) bw.put(b, 8);
-    for (std::size_t i = 0; i < chunk; ++i) bw.put(data[i], 8);
+    bw.put_bytes(header, 4);
+    bw.put_bytes(data, chunk);
     data += chunk;
     len -= chunk;
   } while (len > 0);
@@ -250,6 +284,12 @@ class MatchFinder {
   /// Chain-walk budget per position: deep enough to find the long runs PNG
   /// scanline filters produce, bounded so worst-case input stays linear-ish.
   static constexpr int kMaxChain = 128;
+  /// zlib's good_length: once the current match is this long, the lazy
+  /// lookahead walks only a quarter of the chain. A lookahead rarely beats
+  /// a long match, and on flat-background frames long matches are the
+  /// common case. Shorter chains overall and zlib's max_lazy cutoff made
+  /// the rendered-frame corpus larger; a nice_length cutoff saved no time.
+  static constexpr int kGoodLength = 8;
 
   MatchFinder(const std::uint8_t* data, std::size_t n)
       : data_(data), n_(n), head_(kHashSize, -1), prev_(kWindowSize, -1) {}
@@ -259,8 +299,9 @@ class MatchFinder {
     int dist = 0;
   };
 
-  /// Longest match for `pos` among previously inserted positions.
-  Match find(std::size_t pos) const {
+  /// Longest match for `pos` among previously inserted positions, walking
+  /// at most `max_chain` hash-chain links.
+  Match find(std::size_t pos, int max_chain = kMaxChain) const {
     Match best;
     if (pos + kMinMatch > n_) return best;
     const int limit = static_cast<int>(
@@ -268,15 +309,14 @@ class MatchFinder {
     const int max_len =
         static_cast<int>(std::min<std::size_t>(kMaxMatch, n_ - pos));
     const std::uint8_t* cur = data_ + pos;
-    int chain = kMaxChain;
-    for (std::int64_t cand = head_[hash(pos)];
+    int chain = max_chain;
+    for (std::int32_t cand = head_[hash(pos)];
          cand >= limit && chain-- > 0;
          cand = prev_[static_cast<std::size_t>(cand) % kWindowSize]) {
       const std::uint8_t* ref = data_ + cand;
       // Quick reject: a longer match must extend past the current best.
       if (best.len > 0 && ref[best.len] != cur[best.len]) continue;
-      int len = 0;
-      while (len < max_len && ref[len] == cur[len]) ++len;
+      const int len = common_prefix(ref, cur, max_len);
       if (len > best.len) {
         best.len = len;
         best.dist = static_cast<int>(pos - static_cast<std::size_t>(cand));
@@ -291,10 +331,34 @@ class MatchFinder {
     if (pos + kMinMatch > n_) return;
     const std::size_t h = hash(pos);
     prev_[pos % kWindowSize] = head_[h];
-    head_[h] = static_cast<std::int64_t>(pos);
+    head_[h] = static_cast<std::int32_t>(pos);
   }
 
  private:
+  /// Length of the common prefix of `a` and `b`, at most `max_len`: eight
+  /// bytes per step, then a byte tail. Reads stay below a + max_len and
+  /// b + max_len.
+  static int common_prefix(const std::uint8_t* a, const std::uint8_t* b,
+                           int max_len) {
+    int len = 0;
+    while (len + 8 <= max_len) {
+      std::uint64_t wa, wb;
+      std::memcpy(&wa, a + len, 8);
+      std::memcpy(&wb, b + len, 8);
+      const std::uint64_t diff = wa ^ wb;
+      if (diff != 0) {
+        // The first differing byte is the lowest-addressed one.
+        return len + (std::endian::native == std::endian::little
+                          ? std::countr_zero(diff)
+                          : std::countl_zero(diff)) /
+                         8;
+      }
+      len += 8;
+    }
+    while (len < max_len && a[len] == b[len]) ++len;
+    return len;
+  }
+
   std::size_t hash(std::size_t pos) const {
     const std::uint32_t v = static_cast<std::uint32_t>(data_[pos]) |
                             (static_cast<std::uint32_t>(data_[pos + 1]) << 8) |
@@ -304,8 +368,9 @@ class MatchFinder {
 
   const std::uint8_t* data_;
   std::size_t n_;
-  std::vector<std::int64_t> head_;
-  std::vector<std::int64_t> prev_;
+  // Positions fit in 32 bits: deflate() rejects longer inputs up front.
+  std::vector<std::int32_t> head_;
+  std::vector<std::int32_t> prev_;
 };
 
 // ------------------------------------------------------------ inflate ----
@@ -472,6 +537,10 @@ void inflate_dynamic_block(BitReader& br, std::vector<std::uint8_t>& out,
 }  // namespace
 
 std::vector<std::uint8_t> deflate(const std::uint8_t* data, std::size_t n) {
+  // The match finder's chains hold positions as int32_t.
+  if (n > static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max())) {
+    throw std::length_error("deflate: input longer than INT32_MAX bytes");
+  }
   std::vector<std::uint8_t> out;
   out.reserve(n / 2 + 64);
   BitWriter bw(out);
@@ -511,16 +580,25 @@ std::vector<std::uint8_t> deflate(const std::uint8_t* data, std::size_t n) {
     block_start = block_end;
   };
 
+  // The lookahead's match, kept when it won after a full chain walk:
+  // nothing is inserted between that search and the next iteration's, so
+  // it is exactly what find(pos) would return there. A lookahead cut short
+  // by the good_length budget is searched again in full.
+  std::optional<MatchFinder::Match> lookahead;
   while (pos < n) {
-    MatchFinder::Match m = finder.find(pos);
+    const MatchFinder::Match m = lookahead ? *lookahead : finder.find(pos);
+    lookahead.reset();
     if (m.len >= kMinMatch) {
       // One-step lazy evaluation: when the next position holds a strictly
       // longer match, emit this byte as a literal and let the longer match
       // win — the classic fix for greedy parsing clipping a long run.
       finder.insert(pos);
       if (pos + 1 < n && m.len < kMaxMatch) {
-        const MatchFinder::Match next = finder.find(pos + 1);
+        const bool good = m.len >= MatchFinder::kGoodLength;
+        const MatchFinder::Match next = finder.find(
+            pos + 1, good ? MatchFinder::kMaxChain / 4 : MatchFinder::kMaxChain);
         if (next.len > m.len) {
+          if (!good) lookahead = next;
           tokens.push_back({0, 0, data[pos]});
           ++pos;
           if (pos - block_start >= kBlockInput) flush_block(pos, false);

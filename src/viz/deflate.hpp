@@ -4,9 +4,10 @@
 // PNG tiles are the dominant payload, so their IDAT stream deserves real
 // compression instead of stored blocks. The compressor runs LZ77 over a
 // 32 KiB window (hash-chain match search, greedy with one-step lazy
-// evaluation) and emits fixed-Huffman blocks, falling back to a stored
-// block whenever entropy coding would expand that block — so the output is
-// never materially larger than the input. The decompressor is a full
+// evaluation whose lookahead walks a quarter of the chain once the current
+// match is 8+ bytes, zlib's good_length) and emits fixed-Huffman blocks,
+// falling back to a stored block whenever entropy coding would expand that
+// block — so the output is never materially larger than the input. The decompressor is a full
 // inflater (stored + fixed + dynamic Huffman), enough to read any
 // conforming stream: round-trip verification in tests, tile reassembly
 // checks in the bench, and relay-side assertions all decode through it.
@@ -24,6 +25,7 @@ std::uint32_t adler32(const std::uint8_t* data, std::size_t n);
 /// Compress `n` bytes into a raw DEFLATE stream: LZ77 with hash-chain
 /// match search and one-step lazy evaluation, fixed-Huffman entropy
 /// coding, per-block stored fallback when coding would expand the data.
+/// Throws std::length_error when `n` exceeds INT32_MAX.
 std::vector<std::uint8_t> deflate(const std::uint8_t* data, std::size_t n);
 inline std::vector<std::uint8_t> deflate(const std::vector<std::uint8_t>& in) {
   return deflate(in.data(), in.size());

@@ -3,17 +3,26 @@
 // Round-trips every small image size the tile path produces, checks the
 // stored fallback on incompressible input, and decodes golden vectors
 // produced by a reference zlib so the inflater is validated against real
-// fixed- and dynamic-Huffman streams, not just our own compressor.
+// fixed- and dynamic-Huffman streams, not just our own compressor. The
+// match finder compares eight bytes at a time, so matches ending at or
+// just before the input's end, runs around the 258-byte match limit and
+// short-period patterns are round-tripped from exactly sized buffers: an
+// over-read lands in the allocation's redzone under AddressSanitizer.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "data/generators.hpp"
 #include "util/prng.hpp"
 #include "viz/deflate.hpp"
 #include "viz/image.hpp"
+#include "viz/isosurface.hpp"
+#include "viz/rasterizer.hpp"
 
 namespace v = ricsa::viz;
 
@@ -24,6 +33,22 @@ std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
   std::vector<std::uint8_t> out(n);
   for (auto& b : out) b = static_cast<std::uint8_t>(rng() & 0xFF);
   return out;
+}
+
+/// Compress `data` from a heap buffer of exactly its size, then check that
+/// both the raw stream and the zlib wrapping decode back to it.
+::testing::AssertionResult round_trips(const std::vector<std::uint8_t>& data) {
+  const std::size_t n = data.size();
+  const auto exact = std::make_unique<std::uint8_t[]>(n);
+  if (n > 0) std::memcpy(exact.get(), data.data(), n);
+  if (v::inflate(v::deflate(exact.get(), n)) != data) {
+    return ::testing::AssertionFailure() << "inflate mismatch, n=" << n;
+  }
+  const auto z = v::zlib_compress(exact.get(), n);
+  if (v::zlib_decompress(z.data(), z.size()) != data) {
+    return ::testing::AssertionFailure() << "zlib mismatch, n=" << n;
+  }
+  return ::testing::AssertionSuccess();
 }
 
 }  // namespace
@@ -38,9 +63,77 @@ TEST(Deflate, RoundTripsEmptyConstantAndRandomBuffers) {
   EXPECT_LT(constant_z.size(), constant.size() / 20);
 
   for (const std::size_t n : {1u, 2u, 3u, 255u, 4096u, 70000u, 200001u}) {
-    const auto data = random_bytes(n, n);
-    EXPECT_EQ(v::inflate(v::deflate(data)), data) << "n=" << n;
+    EXPECT_TRUE(round_trips(random_bytes(n, n)));
   }
+}
+
+TEST(Deflate, RejectsInputsPastThirtyTwoBitPositions) {
+  // Chain positions are int32_t: a longer input must fail loudly before
+  // any byte is read, not wrap.
+  const std::uint8_t byte = 0;
+  EXPECT_THROW(v::deflate(&byte, std::size_t{0x80000000u}), std::length_error);
+}
+
+TEST(Deflate, RoundTripsMatchesEndingAtAndJustBeforeTheInputEnd) {
+  // A repeat of an earlier span ends exactly at the last byte (tail 0) or
+  // 1-8 bytes before it: the word compare's last full step and its byte
+  // tail both meet the end of the buffer.
+  for (const std::size_t len : {3u, 4u, 7u, 8u, 9u, 15u, 16u, 17u, 64u, 257u,
+                                258u, 259u, 300u}) {
+    for (std::size_t tail = 0; tail <= 8; ++tail) {
+      auto data = random_bytes(400, 100 * len + tail);
+      data.insert(data.end(), data.begin() + 50,
+                  data.begin() + 50 + static_cast<std::ptrdiff_t>(len));
+      const auto end = random_bytes(tail, 7 * len + tail);
+      data.insert(data.end(), end.begin(), end.end());
+      EXPECT_TRUE(round_trips(data)) << "len=" << len << " tail=" << tail;
+    }
+  }
+}
+
+TEST(Deflate, RoundTripsRunsAroundTheMaximumMatchLength) {
+  // A run longer than 258 bytes needs a second match; each run is framed by
+  // random bytes, and also placed at the very end of the input.
+  for (const std::size_t run : {257u, 258u, 259u, 516u}) {
+    auto data = random_bytes(64, run);
+    data.insert(data.end(), run, 0xA5);
+    EXPECT_TRUE(round_trips(data)) << "run at end, " << run;
+    const auto after = random_bytes(64, run + 1);
+    data.insert(data.end(), after.begin(), after.end());
+    EXPECT_TRUE(round_trips(data)) << "run framed, " << run;
+  }
+}
+
+TEST(Deflate, RoundTripsPeriodicPatternsOfEveryShortPeriodAndLength) {
+  // Periods 1-9 give overlapping matches at distances shorter than the
+  // eight-byte compare step; every length from 1 to 600 moves where the
+  // last match ends against the input end.
+  for (std::size_t period = 1; period <= 9; ++period) {
+    const auto unit = random_bytes(period, 50 + period);
+    for (std::size_t n = 1; n <= 600; ++n) {
+      std::vector<std::uint8_t> data(n);
+      for (std::size_t i = 0; i < n; ++i) data[i] = unit[i % period];
+      ASSERT_TRUE(round_trips(data)) << "period=" << period;
+    }
+  }
+}
+
+TEST(Deflate, RenderedFrameStaysUnderItsSizeCeiling) {
+  // One deterministic rendered frame: the jet isosurface at 512x512, flat
+  // background around a shaded surface like the monitoring frames. Its PNG
+  // was 34,486 bytes before the match finder's good_length budget and
+  // 34,310 after; the ceiling is that + 1%, so a later speed-for-ratio
+  // trade in the encoder fails here rather than only in a bench row.
+  const auto vol = ricsa::data::make_jet(48, 48, 48);
+  const auto iso = v::extract_isosurface(
+      vol, ricsa::data::dataset_spec("jet").default_isovalue);
+  v::RenderOptions opt;
+  opt.width = 512;
+  opt.height = 512;
+  const v::Image img = v::render_mesh(iso.mesh, opt).image;
+  const auto png = img.encode_png();
+  EXPECT_LE(png.size(), 34653u);
+  EXPECT_EQ(v::Image::decode_png(png).pixels(), img.pixels());
 }
 
 TEST(Deflate, StoredFallbackBoundsIncompressibleExpansion) {
