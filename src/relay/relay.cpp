@@ -1,55 +1,15 @@
 #include "relay/relay.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <string_view>
 #include <utility>
+#include <vector>
 
-#include "net/buffer_chain.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
 #include "web/hub.hpp"
 
 namespace ricsa::relay {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/// Strict cursor parse (mirrors the origin front end's contract).
-bool parse_since(const std::string& raw, std::uint64_t& out) {
-  if (raw.empty() || raw[0] < '0' || raw[0] > '9') return false;
-  try {
-    std::size_t parsed = 0;
-    out = static_cast<std::uint64_t>(std::stoull(raw, &parsed));
-    return parsed == raw.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool parse_timeout(const std::string& raw, double ceiling, double& out) {
-  try {
-    std::size_t parsed = 0;
-    const double value = std::stod(raw, &parsed);
-    if (parsed != raw.size() || std::isnan(value)) return false;
-    out = std::clamp(value, 0.0, ceiling);
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-const std::map<std::string, std::string> kSseHeaders = {
-    {"Content-Type", "text/event-stream"}, {"Cache-Control", "no-cache"}};
-const std::map<std::string, std::string> kTextHeaders = {
-    {"Content-Type", "text/plain; charset=utf-8"}};
-
-void stream_error(const web::HttpServer::StreamSink& sink, int status,
-                  const std::string& message) {
-  sink.begin(kTextHeaders, status);
-  sink.chunk(message + "\n");
-  sink.end();
-}
 
 web::HubRegistry::Config registry_config(const RelayNodeConfig& config,
                                          net::Reactor* reactor) {
@@ -70,33 +30,25 @@ web::HubRegistry::Config registry_config(const RelayNodeConfig& config,
   return out;
 }
 
-std::string timeout_body(std::uint64_t since) {
-  return "{\"seq\":" + std::to_string(since) + ",\"timeout\":true}";
-}
-
 }  // namespace
-
-/// One downstream SSE subscription on the relay. Same pump shape as the
-/// origin's (chunk → drained callback → next wait). A `client=` id binds
-/// the same pacing session the polls use; tiers stay kFull (the relay
-/// serves the bodies it received, verbatim), so the session's controller
-/// governs pacing and frame skipping only.
-struct RelayNode::RelayStream {
-  RelayNode* node = nullptr;
-  std::shared_ptr<web::FrameHub> hub;
-  std::string view;
-  web::HttpServer::StreamSink sink;
-  std::shared_ptr<web::ClientSession> session;
-  std::uint64_t since = 0;
-  bool want_delta = false;
-  bool force_full = false;
-  double timeout_s = 15.0;
-};
 
 RelayNode::RelayNode(RelayNodeConfig config)
     : config_(std::move(config)),
       registry_(registry_config(config_, &server_.reactor())),
       subscriber_(config_.subscriber, registry_),
+      // Served through the origin's own code path. Differences: pacing
+      // judges downstream promptness against the configured cadence, a
+      // frame with no full body escalates a latched upstream resync, and
+      // every frame/state response names the relay chain.
+      frames_(registry_, config_.poll_timeout_s,
+              {[cadence = config_.pacing.frame_interval_s] { return cadence; },
+               [this](const std::string& view) {
+                 subscriber_.request_resync(view);
+               },
+               [this] {
+                 return web::FrameServer::Headers{
+                     {"X-Relay-Path", relay_path_header()}};
+               }}),
       forward_client_(config_.subscriber.upstream_port) {}
 
 RelayNode::~RelayNode() { stop(); }
@@ -106,19 +58,31 @@ int RelayNode::start() {
   server_.route("GET", "/", [](const web::HttpRequest&) {
     return web::HttpResponse::text("ricsa relay node\n");
   });
-  server_.route("GET", "/api/state",
-                [this](const web::HttpRequest& r) { return handle_state(r); });
+  // The relay's loop check stands in front of the shared routes: a request
+  // whose X-Relay-Path already names this node would close a cycle.
+  server_.route("GET", "/api/state", [this](const web::HttpRequest& r) {
+    return request_path_conflicts(r) ? loop_conflict() : frames_.state(r);
+  });
   server_.route("GET", "/api/stats",
                 [this](const web::HttpRequest& r) { return handle_stats(r); });
   server_.route_async("GET", "/api/poll",
                       [this](const web::HttpRequest& r,
                              web::HttpServer::ResponseSink sink) {
-                        handle_poll(r, std::move(sink));
+                        if (request_path_conflicts(r)) {
+                          sink(loop_conflict());
+                          return;
+                        }
+                        frames_.poll(r, std::move(sink));
                       });
   server_.route_stream("GET", "/api/stream",
                        [this](const web::HttpRequest& r,
                               web::HttpServer::StreamSink sink) {
-                         handle_stream(r, std::move(sink));
+                         if (request_path_conflicts(r)) {
+                           web::stream_error(sink, 409, "relay loop: " +
+                                                            relay_path_header());
+                           return;
+                         }
+                         frames_.stream(r, std::move(sink));
                        });
   // Control traffic goes upstream: a relay can serve frames, only the
   // origin can steer the simulation or declare views.
@@ -175,279 +139,12 @@ bool RelayNode::request_path_conflicts(
   return false;
 }
 
-void RelayNode::handle_poll(const web::HttpRequest& request,
-                            web::HttpServer::ResponseSink sink) {
-  if (request_path_conflicts(request)) {
-    web::HttpResponse conflict = web::HttpResponse::json(
-        "{\"error\":\"relay loop\",\"path\":\"" + relay_path_header() + "\"}",
-        409);
-    conflict.headers["X-Relay-Path"] = relay_path_header();
-    sink(conflict);
-    return;
-  }
-  std::string view = request.query_param("view");
-  if (view.empty()) view = registry_.default_view_name();
-  const std::shared_ptr<web::FrameHub> hub = registry_.subscribe(view);
-  if (!hub) {
-    sink(web::HttpResponse::not_found());
-    return;
-  }
-  std::uint64_t since = 0;
-  if (!parse_since(request.query_param("since", "0"), since)) {
-    sink(web::HttpResponse::bad_request("since must be a non-negative integer"));
-    return;
-  }
-  double timeout = config_.poll_timeout_s;
-  const std::string timeout_raw = request.query_param("timeout");
-  if (!timeout_raw.empty() &&
-      !parse_timeout(timeout_raw, config_.poll_timeout_s, timeout)) {
-    sink(web::HttpResponse::bad_request("timeout must be a number, not NaN"));
-    return;
-  }
-  const bool want_delta = request.query_param("delta", "0") == "1" &&
-                          request.query_param("full", "0") != "1";
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(timeout));
-  // Same pacing contract as the origin: a (sanitized) `client` id keys a
-  // session whose controller paces/skips this relay's deliveries to that
-  // client. Tier stays kFull — the relay owns no cheaper encodings — so
-  // only the decision's interval/skip axis applies here.
-  std::shared_ptr<web::ClientSession> session;
-  web::FrameHub::WaitOptions options;
-  const std::string client =
-      web::sanitize_client_id(request.query_param("client"));
-  if (!client.empty()) {
-    const double now = web::mono_now_s();
-    session = registry_.sessions().acquire(client, request.peer, now);
-    if (session) {
-      const web::ClientSession::Decision decision =
-          session->decide(now, config_.pacing.frame_interval_s, view);
-      options.latest_only = decision.skip_to_latest;
-      if (decision.not_before_s > now) {
-        options.not_before =
-            Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(
-                                   decision.not_before_s - now));
-      }
-    }
-  }
-  park_poll(hub, std::move(view), since, since, want_delta, deadline,
-            std::move(session), options, std::move(sink));
-}
-
-void RelayNode::park_poll(std::shared_ptr<web::FrameHub> hub,
-                          std::string view, std::uint64_t client_since,
-                          std::uint64_t cursor, bool want_delta,
-                          Clock::time_point deadline,
-                          std::shared_ptr<web::ClientSession> session,
-                          web::FrameHub::WaitOptions options,
-                          web::HttpServer::ResponseSink sink) {
-  options.timeout_s = std::max(
-      0.0, std::chrono::duration<double>(deadline - Clock::now()).count());
-  hub->wait_async(
-      cursor, options,
-      [this, hub, view = std::move(view), client_since, want_delta, deadline,
-       session = std::move(session), options,
-       sink = std::move(sink)](web::FramePtr frame) mutable {
-        if (!frame) {
-          // Timeout contract: echo the *client's* cursor, not the parked
-          // one — their next poll resumes where they left off.
-          web::HttpResponse response =
-              web::HttpResponse::json(timeout_body(client_since));
-          response.headers["X-Relay-Path"] = relay_path_header();
-          sink(response);
-          if (session) session->on_timeout(web::mono_now_s());
-          return;
-        }
-        // Body selection against pre-encoded frames: a relay frame carries
-        // either a delta body (sequential consumers) or a full body
-        // (joins/resyncs) — never pixels to assemble from.
-        std::shared_ptr<const std::string> body;
-        if (want_delta && frame->seq == client_since + 1) {
-          body = web::body_shared(frame, web::Tier::kFull, true);
-        }
-        if (!body || body->empty()) {
-          body = web::body_shared(frame, web::Tier::kFull, false);
-        }
-        if (!body->empty()) {
-          web::HttpResponse response = web::HttpResponse::json_shared(body);
-          response.headers["X-Relay-Path"] = relay_path_header();
-          if (!session) {
-            sink(response);
-            return;
-          }
-          // Paced client: stamp the dispatch, account the delivery at
-          // kernel drain — the controller's RTT sample brackets exactly
-          // this relay→client hop.
-          const std::uint64_t skipped =
-              (client_since != 0 && frame->seq > client_since + 1)
-                  ? frame->seq - client_since - 1
-                  : 0;
-          const std::size_t bytes = body->size();
-          const double cadence = config_.pacing.frame_interval_s;
-          session->note_dispatch(web::mono_now_s(), view);
-          sink(response, [session, bytes, skipped, cadence, view] {
-            session->on_delivered(web::mono_now_s(), bytes, skipped,
-                                  web::Tier::kFull, cadence, view);
-          });
-          return;
-        }
-        // A delta-only frame that cannot answer this client (fresh join,
-        // full=1, or a skip past the sequential chain). Escalate one
-        // upstream full-frame resync — latched in the subscriber — and
-        // re-park just past this frame until the snapshot lands or the
-        // poll deadline passes. Synchronous completions recurse at most
-        // window-depth before parking for real.
-        subscriber_.request_resync(view);
-        if (Clock::now() >= deadline) {
-          web::HttpResponse response =
-              web::HttpResponse::json(timeout_body(client_since));
-          response.headers["X-Relay-Path"] = relay_path_header();
-          sink(response);
-          if (session) session->on_timeout(web::mono_now_s());
-          return;
-        }
-        const std::uint64_t next = frame->seq;
-        park_poll(hub, std::move(view), client_since, next, want_delta,
-                  deadline, std::move(session), options, std::move(sink));
-      });
-}
-
-void RelayNode::handle_stream(const web::HttpRequest& request,
-                              web::HttpServer::StreamSink sink) {
-  if (request_path_conflicts(request)) {
-    stream_error(sink, 409, "relay loop: " + relay_path_header());
-    return;
-  }
-  std::string view = request.query_param("view");
-  if (view.empty()) view = registry_.default_view_name();
-  const std::shared_ptr<web::FrameHub> hub = registry_.subscribe(view);
-  if (!hub) {
-    stream_error(sink, 404, "not found");
-    return;
-  }
-  std::uint64_t since = 0;
-  if (!parse_since(request.query_param("since", "0"), since)) {
-    stream_error(sink, 400, "since must be a non-negative integer");
-    return;
-  }
-  double timeout = config_.poll_timeout_s;
-  const std::string timeout_raw = request.query_param("timeout");
-  if (!timeout_raw.empty() &&
-      !parse_timeout(timeout_raw, config_.poll_timeout_s, timeout)) {
-    stream_error(sink, 400, "timeout must be a number, not NaN");
-    return;
-  }
-  std::map<std::string, std::string> headers = kSseHeaders;
-  headers["X-Relay-Path"] = relay_path_header();
-  sink.begin(headers);
-  if (sink.head_only()) return;
-
-  auto s = std::make_shared<RelayStream>();
-  s->node = this;
-  s->hub = hub;
-  s->view = std::move(view);
-  s->sink = std::move(sink);
-  const std::string client =
-      web::sanitize_client_id(request.query_param("client"));
-  if (!client.empty()) {
-    s->session =
-        registry_.sessions().acquire(client, request.peer, web::mono_now_s());
-  }
-  s->since = since;
-  s->want_delta = request.query_param("delta", "0") == "1";
-  s->force_full = request.query_param("full", "0") == "1";
-  s->timeout_s = std::max(timeout, 0.05);
-  stream_pump(s);
-}
-
-void RelayNode::stream_pump(const std::shared_ptr<RelayStream>& s) {
-  if (!s->sink.alive()) return;
-  web::FrameHub::WaitOptions options;
-  options.timeout_s = s->timeout_s;
-  if (s->session) {
-    // Re-decide per pump cycle: a client whose drains slow mid-stream is
-    // paced/skipped on the very next wait, exactly like the origin's pump.
-    const double now = web::mono_now_s();
-    const web::ClientSession::Decision decision =
-        s->session->decide(now, config_.pacing.frame_interval_s, s->view);
-    options.latest_only = decision.skip_to_latest;
-    if (decision.not_before_s > now) {
-      options.not_before =
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(
-                                 decision.not_before_s - now));
-    }
-  }
-  s->hub->wait_async(s->since, options, [this, s](web::FramePtr frame) {
-    if (!frame) {
-      if (s->hub->is_shutdown()) {
-        s->sink.end();
-        return;
-      }
-      if (s->session) s->session->on_timeout(web::mono_now_s());
-      s->sink.chunk(": keepalive\n\n", [this, s] { stream_pump(s); });
-      return;
-    }
-    std::shared_ptr<const std::string> body;
-    if (!s->force_full && s->want_delta && frame->seq == s->since + 1) {
-      body = web::body_shared(frame, web::Tier::kFull, true);
-    }
-    if (!body || body->empty()) {
-      body = web::body_shared(frame, web::Tier::kFull, false);
-    }
-    if (body->empty()) {
-      // Delta-only frame under a full requirement: skip it, escalate one
-      // latched upstream resync, and keep waiting for the snapshot.
-      subscriber_.request_resync(s->view);
-      s->since = frame->seq;
-      stream_pump(s);
-      return;
-    }
-    s->force_full = false;
-    const std::uint64_t skipped =
-        (s->since != 0 && frame->seq > s->since + 1)
-            ? frame->seq - s->since - 1
-            : 0;
-    const std::size_t bytes = body->size();
-    s->since = frame->seq;
-    net::BufferChain event;
-    event.append_copy("id: " + std::to_string(frame->seq) + "\ndata: ");
-    event.append_shared(std::move(body));
-    event.append_copy("\n\n");
-    if (s->session) s->session->note_dispatch(web::mono_now_s(), s->view);
-    s->sink.chunk(std::move(event), [this, s, bytes, skipped] {
-      if (s->session) {
-        s->session->on_delivered(web::mono_now_s(), bytes, skipped,
-                                 web::Tier::kFull,
-                                 config_.pacing.frame_interval_s, s->view);
-      }
-      registry_.touch(s->view);
-      stream_pump(s);
-    });
-  });
-}
-
-web::HttpResponse RelayNode::handle_state(const web::HttpRequest& request) {
-  if (request_path_conflicts(request)) {
-    web::HttpResponse conflict = web::HttpResponse::json(
-        "{\"error\":\"relay loop\",\"path\":\"" + relay_path_header() + "\"}",
-        409);
-    conflict.headers["X-Relay-Path"] = relay_path_header();
-    return conflict;
-  }
-  std::string view = request.query_param("view");
-  if (view.empty()) view = registry_.default_view_name();
-  const std::shared_ptr<web::FrameHub> hub = registry_.subscribe(view);
-  if (!hub) return web::HttpResponse::not_found();
-  util::Json out;
-  const web::FramePtr frame = hub->latest();
-  out["seq"] = static_cast<double>(frame ? frame->seq : 0);
-  out["state"] = frame ? frame->state : util::Json();
-  web::HttpResponse response = web::HttpResponse::json(out.dump());
-  response.headers["X-Relay-Path"] = relay_path_header();
-  return response;
+web::HttpResponse RelayNode::loop_conflict() const {
+  web::HttpResponse conflict = web::HttpResponse::json(
+      "{\"error\":\"relay loop\",\"path\":\"" + relay_path_header() + "\"}",
+      409);
+  conflict.headers["X-Relay-Path"] = relay_path_header();
+  return conflict;
 }
 
 web::HttpResponse RelayNode::handle_stats(const web::HttpRequest&) {
@@ -483,31 +180,10 @@ web::HttpResponse RelayNode::handle_stats(const web::HttpRequest&) {
     }
     out["subscriber"] = views;
   }
-  {
-    // The forwarding-without-decoding proof: every local publish must be
-    // pre-encoded and the relay must never touch an encoder.
-    util::Json hubs;
-    for (const std::string& name : registry_.view_names()) {
-      const std::shared_ptr<web::FrameHub> hub = registry_.find(name);
-      if (!hub) continue;
-      const web::FrameHub::Stats s = hub->stats();
-      util::Json h;
-      h["seq"] = static_cast<double>(hub->seq());
-      h["published"] = static_cast<double>(s.published);
-      h["served"] = static_cast<double>(s.served);
-      h["timeouts"] = static_cast<double>(s.timeouts);
-      h["waiting"] = static_cast<double>(s.waiting);
-      h["image_encodes"] = static_cast<double>(s.image_encodes);
-      h["preencoded_publishes"] = static_cast<double>(s.preencoded_publishes);
-      hubs[name] = h;
-    }
-    out["views"] = hubs;
-  }
-  // Downstream pacing sessions (same shape as the origin's stats block).
-  out["pacing"] = registry_.sessions().stats_json(web::mono_now_s());
-  out["connections_open"] = static_cast<double>(server_.connections_open());
-  out["requests_served"] = static_cast<double>(server_.requests_served());
-  out["bytes_sent"] = static_cast<double>(server_.bytes_sent());
+  // The origin's per-view hub counters carry the forwarding-without-
+  // decoding proof: every local publish must be pre-encoded
+  // (preencoded_publishes == published) and image_encodes must stay 0.
+  web::add_node_stats(out, server_, registry_);
   web::HttpResponse response = web::HttpResponse::json(out.dump());
   response.headers["X-Relay-Path"] = relay_path_header();
   return response;

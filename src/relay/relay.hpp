@@ -9,26 +9,26 @@
 // carries R keep-alive connections and R body copies per frame, while
 // each relay fans the same pre-encoded bodies out to its own N/R clients.
 //
-// Serving-side resync: a downstream client that needs a full snapshot the
-// relay's local window cannot provide (fresh join against a delta-only
-// head, or an explicit full=1) triggers subscriber.request_resync() —
-// latched upstream — and the client's poll re-parks on the local hub
-// until the resync's full frame lands (or its own deadline passes).
+// Downstream routes run the origin's own code (web::FrameServer) behind
+// the relay's loop check. Serving-side resync: a downstream client that
+// needs a full snapshot the relay's local window cannot provide (fresh
+// join against a delta-only head, or an explicit full=1) triggers
+// subscriber.request_resync() — latched upstream — and the client's poll
+// re-parks on the local hub until the resync's full frame lands (or its
+// own deadline passes).
 // Control traffic (POST /api/steer, /api/view) is forwarded upstream
 // verbatim: steering always reaches the origin simulation.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "relay/subscriber.hpp"
 #include "web/http.hpp"
 #include "web/registry.hpp"
+#include "web/serve.hpp"
 #include "web/session.hpp"
 
 namespace ricsa::relay {
@@ -74,25 +74,6 @@ class RelayNode {
   RelaySubscriber& subscriber() noexcept { return subscriber_; }
 
  private:
-  struct RelayStream;  // SSE pump state (relay.cpp)
-
-  void handle_poll(const web::HttpRequest& request,
-                   web::HttpServer::ResponseSink sink);
-  /// The re-parking poll wait: serves the first frame after `cursor` that
-  /// can answer the client (delta when sequential, full otherwise),
-  /// escalating one upstream resync and re-parking past delta-only frames
-  /// a full-needing client cannot use.
-  void park_poll(std::shared_ptr<web::FrameHub> hub, std::string view,
-                 std::uint64_t client_since, std::uint64_t cursor,
-                 bool want_delta,
-                 std::chrono::steady_clock::time_point deadline,
-                 std::shared_ptr<web::ClientSession> session,
-                 web::FrameHub::WaitOptions options,
-                 web::HttpServer::ResponseSink sink);
-  void handle_stream(const web::HttpRequest& request,
-                     web::HttpServer::StreamSink sink);
-  void stream_pump(const std::shared_ptr<RelayStream>& s);
-  web::HttpResponse handle_state(const web::HttpRequest& request);
   web::HttpResponse handle_stats(const web::HttpRequest& request);
   web::HttpResponse forward_post(const web::HttpRequest& request,
                                  const std::string& path);
@@ -102,11 +83,14 @@ class RelayNode {
   /// True when the request's X-Relay-Path shares an id with this node's
   /// chain — serving it would close a forwarding loop.
   bool request_path_conflicts(const web::HttpRequest& request) const;
+  /// The 409 a conflicting request receives.
+  web::HttpResponse loop_conflict() const;
 
   RelayNodeConfig config_;
   web::HttpServer server_;
   web::HubRegistry registry_;
   RelaySubscriber subscriber_;
+  web::FrameServer frames_;
 
   /// Upstream control-channel client (steer/view forwarding). HttpClient
   /// is a single blocking connection, hence the mutex.

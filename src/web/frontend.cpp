@@ -1,9 +1,6 @@
 #include "web/frontend.hpp"
 
-#include <algorithm>
-#include <array>
 #include <chrono>
-#include <cmath>
 #include <string>
 
 #include "util/strings.hpp"
@@ -294,12 +291,6 @@ startTransport();
 
 namespace {
 
-PacingConfig pacing_of(const FrontEndConfig& config) {
-  PacingConfig pacing = config.pacing;
-  pacing.frame_interval_s = config.frame_interval_s;
-  return pacing;
-}
-
 HubRegistry::Config registry_config_of(const FrontEndConfig& config,
                                        net::Reactor* reactor) {
   HubRegistry::Config registry;
@@ -309,9 +300,33 @@ HubRegistry::Config registry_config_of(const FrontEndConfig& config,
   registry.hub.max_wait_s = config.poll_timeout_s;
   registry.hub.tile_size = config.tile_size;
   registry.hub.reactor = reactor;
-  registry.pacing = pacing_of(config);
+  registry.pacing = config.pacing;
+  registry.pacing.frame_interval_s = config.frame_interval_s;
   registry.idle_reap_s = config.view_idle_reap_s;
   return registry;
+}
+
+/// The monitoring state every view publishes: the simulation step, the
+/// view's own render timings, and a wall-clock publish stamp so clients
+/// (and the fan-out bench) can measure publish-to-delivery latency against
+/// the instant THIS shard's frame became available.
+util::Json view_state(const std::string& view,
+                      const steering::SteeringSession::FrameResult& frame,
+                      const steering::ExecuteResult& exec) {
+  util::Json state;
+  state["view"] = view;
+  state["cycle"] = frame.cycle;
+  state["sim_time"] = frame.sim_time;
+  state["variable"] = frame.variable;
+  state["filter_s"] = exec.filter_s;
+  state["transform_s"] = exec.transform_s;
+  state["render_s"] = exec.render_s;
+  state["geometry_bytes"] = static_cast<double>(exec.geometry_bytes);
+  state["published_ms"] = static_cast<double>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count()) / 1000.0;
+  return state;
 }
 
 }  // namespace
@@ -320,7 +335,9 @@ AjaxFrontEnd::AjaxFrontEnd(FrontEndConfig config)
     : config_(config),
       session_(config.session),
       registry_(registry_config_of(config, &server_.reactor())),
-      main_hub_(registry_.default_hub()) {
+      main_hub_(registry_.pin(registry_.default_view_name())),
+      frames_(registry_, config.poll_timeout_s,
+              {[this] { return frame_period_s_.load(); }, {}, {}}) {
   // The connection idle-read timeout must exceed the longest long-poll wait
   // any route can hand out (poll timeout == hub max wait here), else a
   // legal configuration silently kills keep-alive connections mid-poll.
@@ -353,19 +370,19 @@ void AjaxFrontEnd::stop() {
 }
 
 void AjaxFrontEnd::register_routes() {
-  server_.route("GET", "/", [this](const HttpRequest& r) { return handle_index(r); });
-  server_.route("GET", "/api/state", [this](const HttpRequest& r) { return handle_state(r); });
+  server_.route("GET", "/", [](const HttpRequest&) { return HttpResponse::html(kDashboardHtml); });
+  server_.route("GET", "/api/state", [this](const HttpRequest& r) { return frames_.state(r); });
   server_.route("GET", "/api/stats", [this](const HttpRequest& r) { return handle_stats(r); });
   server_.route("GET", "/api/image", [this](const HttpRequest& r) { return handle_image(r); });
   server_.route("POST", "/api/steer", [this](const HttpRequest& r) { return handle_steer(r); });
   server_.route("POST", "/api/view", [this](const HttpRequest& r) { return handle_view(r); });
   server_.route_async("GET", "/api/poll",
                       [this](const HttpRequest& r, HttpServer::ResponseSink s) {
-                        handle_poll_async(r, std::move(s));
+                        frames_.poll(r, std::move(s));
                       });
   server_.route_stream("GET", "/api/stream",
                        [this](const HttpRequest& r, HttpServer::StreamSink s) {
-                         handle_stream(r, std::move(s));
+                         frames_.stream(r, std::move(s));
                        });
 }
 
@@ -414,23 +431,10 @@ void AjaxFrontEnd::frame_loop() {
 
     const auto frame = session_.next_frame();
 
-    util::Json state;
-    state["view"] = registry_.default_view_name();
-    state["cycle"] = frame.cycle;
-    state["sim_time"] = frame.sim_time;
-    state["variable"] = frame.variable;
+    util::Json state =
+        view_state(registry_.default_view_name(), frame, frame.exec);
     state["vrt"] = frame.vrt.to_string();
     state["predicted_delay_s"] = frame.vrt.predicted_delay_s;
-    state["filter_s"] = frame.exec.filter_s;
-    state["transform_s"] = frame.exec.transform_s;
-    state["render_s"] = frame.exec.render_s;
-    state["geometry_bytes"] = static_cast<double>(frame.exec.geometry_bytes);
-    // Wall-clock publish stamp so clients (and the fan-out bench) can
-    // measure publish-to-delivery latency.
-    state["published_ms"] = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count()) / 1000.0;
     util::JsonObject params;
     for (const auto& [key, value] : session_.parameters()) {
       params[key] = util::Json(value);
@@ -449,24 +453,8 @@ void AjaxFrontEnd::frame_loop() {
     for (const ViewSpec& spec : config_.views) {
       const auto exec = session_.render_view(spec.viz, spec.camera);
       if (!exec) continue;
-      util::Json view_state;
-      view_state["view"] = spec.name;
-      view_state["cycle"] = frame.cycle;
-      view_state["sim_time"] = frame.sim_time;
-      view_state["variable"] = frame.variable;
-      view_state["filter_s"] = exec->filter_s;
-      view_state["transform_s"] = exec->transform_s;
-      view_state["render_s"] = exec->render_s;
-      view_state["geometry_bytes"] =
-          static_cast<double>(exec->geometry_bytes);
-      // Per-view publish stamp: delivery latency is measured against the
-      // instant THIS shard's frame became available, not the main view's.
-      view_state["published_ms"] = static_cast<double>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::system_clock::now().time_since_epoch())
-              .count()) / 1000.0;
-      registry_.publish(spec.name, std::move(view_state), exec->image,
-                        build_half);
+      registry_.publish(spec.name, view_state(spec.name, frame, *exec),
+                        exec->image, build_half);
     }
 
     const auto now = std::chrono::steady_clock::now();
@@ -483,405 +471,16 @@ void AjaxFrontEnd::frame_loop() {
   }
 }
 
-namespace {
-
-/// Strict cursor parse shared by /api/poll and /api/stream: std::stoull
-/// silently negates a leading '-' ("-1" wraps to 2^64-1) and ignores
-/// trailing garbage, so insist on a digit up front and a full parse.
-bool parse_since(const std::string& raw, std::uint64_t& out) {
-  if (raw.empty() || raw[0] < '0' || raw[0] > '9') return false;
-  try {
-    std::size_t parsed = 0;
-    out = static_cast<std::uint64_t>(std::stoull(raw, &parsed));
-    return parsed == raw.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-/// Strict wait-timeout parse: std::stod accepts "nan" and negatives
-/// without throwing, and either would poison the hub's deadline
-/// arithmetic. Clamps to [0, ceiling].
-bool parse_timeout(const std::string& raw, double ceiling, double& out) {
-  try {
-    std::size_t parsed = 0;
-    const double value = std::stod(raw, &parsed);
-    if (parsed != raw.size() || std::isnan(value)) return false;
-    out = std::clamp(value, 0.0, ceiling);
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-}  // namespace
-
-std::shared_ptr<FrameHub> AjaxFrontEnd::resolve_view(
-    const HttpRequest& request, std::string* resolved) {
-  const std::string view = request.query_param("view");
-  if (view.empty() || view == registry_.default_view_name()) {
-    // Missing view: the single-hub contract, served by the default shard.
-    if (resolved != nullptr) *resolved = registry_.default_view_name();
-    return main_hub_;
-  }
-  if (resolved != nullptr) *resolved = view;
-  // subscribe() revives reaped shards of known names; unknown names (the
-  // publisher never declared them) stay null — the caller's 404.
-  return registry_.subscribe(view);
-}
-
-void AjaxFrontEnd::handle_poll_async(const HttpRequest& request,
-                                     HttpServer::ResponseSink sink) {
-  std::string view;
-  const std::shared_ptr<FrameHub> hub = resolve_view(request, &view);
-  if (!hub) {
-    sink(HttpResponse::not_found());
-    return;
-  }
-  std::uint64_t since = 0;
-  if (!parse_since(request.query_param("since", "0"), since)) {
-    sink(HttpResponse::bad_request("since must be a non-negative integer"));
-    return;
-  }
-  double timeout = config_.poll_timeout_s;
-  const std::string timeout_raw = request.query_param("timeout");
-  if (!timeout_raw.empty() &&
-      !parse_timeout(timeout_raw, config_.poll_timeout_s, timeout)) {
-    sink(HttpResponse::bad_request("timeout must be a number, not NaN"));
-    return;
-  }
-  // `full=1` is the client's resync escape hatch: a browser whose canvas
-  // composite failed (or that otherwise lost track of what it shows) asks
-  // for a complete frame regardless of its cursor.
-  const bool want_delta = request.query_param("delta", "0") == "1" &&
-                          request.query_param("full", "0") != "1";
-
-  // Per-client adaptive pacing: a `client` identifier opts the poll into a
-  // session whose measured goodput picks the quality tier and the minimum
-  // inter-frame interval. Identifier-less polls keep the legacy contract
-  // (full tier, gap-free window replay).
-  std::shared_ptr<ClientSession> session;
-  Tier tier = Tier::kFull;
-  bool tier_delta_ok = true;
-  FrameHub::WaitOptions options;
-  options.timeout_s = timeout;
-  // The id is attacker-chosen input that becomes a map key: an invalid one
-  // (over-long, bad charset) is treated as absent, i.e. the unpaced path.
-  const std::string client = sanitize_client_id(request.query_param("client"));
-  if (!client.empty()) {
-    const double now = mono_now_s();
-    // A null session (table at its cap for this flood of distinct ids)
-    // falls through to the unpaced legacy path. One table for every view:
-    // the same browser polling two shards shares one meter/controller.
-    session = registry_.sessions().acquire(client, request.peer, now);
-    if (session) {
-      const ClientSession::Decision decision =
-          session->decide(now, frame_period_s_.load(), view);
-      tier = decision.tier;
-      tier_delta_ok = decision.allow_delta;
-      options.latest_only = decision.skip_to_latest;
-      if (decision.not_before_s > now) {
-        options.not_before =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(decision.not_before_s - now));
-      }
-    }
-  }
-
-  // The completion captures the hub shared_ptr: a shard reaped mid-wait
-  // stays alive (shut down, but valid) until its last parked completion ran.
-  hub->wait_async(
-      since, options,
-      [hub, view, since, want_delta, tier, tier_delta_ok,
-       session = std::move(session), cadence = frame_period_s_.load(),
-       sink = std::move(sink)](FramePtr frame) {
-        if (!frame) {
-          // Echo the client's own cursor, not the current head: a publish
-          // racing this timeout must not let the client advance past a
-          // frame it never received.
-          util::Json out;
-          out["seq"] = static_cast<double>(since);
-          out["timeout"] = true;
-          sink(HttpResponse::json(out.dump()));
-          if (session) session->on_timeout(mono_now_s());
-          return;
-        }
-        // Delta selection, cheapest first. A cursor exactly one frame
-        // behind (same tier as its previous delivery) gets the prebuilt
-        // sequential delta body. A cursor further behind — the paced /
-        // skipping client — gets a delta assembled against its *actual*
-        // cursor frame, from the publish-time tile encodes, while that
-        // frame remains in the retention window. Everyone else (fresh
-        // clients, cursors past the window edge, tier changes, full=1
-        // resyncs, stale-epoch resyncs) gets the full snapshot.
-        // Prebuilt bodies ride as aliased frame buffers (body_shared): the
-        // HTTP layer scatter-gathers them into the response, so N watchers
-        // of one frame share one allocation. Only a cursor-anchored
-        // assembled delta — unique to this client — is a fresh string.
-        std::shared_ptr<const std::string> body;
-        if (want_delta && tier_delta_ok && frame->seq == since + 1) {
-          body = body_shared(frame, tier, true);
-        } else if (want_delta && tier_delta_ok && since > 0 &&
-                   frame->seq > since + 1) {
-          std::string assembled = hub->delta_body_for(frame, since, tier);
-          if (!assembled.empty()) {
-            body = std::make_shared<const std::string>(std::move(assembled));
-          }
-        }
-        if (!body || body->empty()) body = body_shared(frame, tier, false);
-        const std::size_t bytes = body->size();
-        if (!session) {
-          sink(HttpResponse::json_shared(std::move(body)));
-          return;
-        }
-        // Stamp the dispatch instant, then account the delivery from the
-        // kernel-drain callback: the pair brackets enqueue → socket-buffer
-        // empty, the per-delivery RTT the delay-based controllers steer
-        // on. TCP backpressure from a slow reader shows up as drain
-        // latency, exactly like the SSE path's chunk callback.
-        const std::uint64_t skipped =
-            (since != 0 && frame->seq > since + 1) ? frame->seq - since - 1
-                                                   : 0;
-        session->note_dispatch(mono_now_s(), view);
-        sink(HttpResponse::json_shared(std::move(body)),
-             [session, bytes, skipped, tier, cadence, view] {
-               session->on_delivered(mono_now_s(), bytes, skipped, tier,
-                                     cadence, view);
-             });
-      });
-}
-
-namespace {
-
-/// One SSE subscription: the stream-side twin of a long-poll loop. The
-/// raw pointers (registry, frame period) are owned by the AjaxFrontEnd,
-/// whose stop() order guarantees no pump step runs after they die: the
-/// server stops first (every stream connection closes, chunk() starts
-/// refusing), then the registry shuts its hubs down, which completes any
-/// still-parked waiter before returning.
-struct SseStream {
-  std::shared_ptr<FrameHub> hub;
-  HubRegistry* registry = nullptr;
-  const std::atomic<double>* frame_period = nullptr;
-  std::string view;
-  std::shared_ptr<ClientSession> session;
-  HttpServer::StreamSink sink;
-  std::uint64_t since = 0;
-  bool want_delta = false;
-  /// full=1 resync: the first event carries a complete frame no matter
-  /// where the cursor stands; deltas resume from there.
-  bool force_full = false;
-  /// Per-wait bound: when it elapses without a frame the stream emits a
-  /// keepalive comment and waits again.
-  double timeout_s = 15.0;
-};
-
-/// One step of the push loop: make the same pacing decision a poll would,
-/// park on the hub, and on completion push the same body a poll would have
-/// carried. The next step is armed only from the chunk's drained callback,
-/// so a slow consumer paces its own stream through TCP backpressure — and
-/// feeds the goodput meter drain-time timestamps, exactly what on_delivered
-/// sees on the poll path. No unbounded recursion: chunk() always defers
-/// through a reactor post, so each event breaks the call chain.
-void sse_pump(const std::shared_ptr<SseStream>& s) {
-  if (!s->sink.alive()) return;
-  const double now = mono_now_s();
-  const double cadence = s->frame_period->load();
-  Tier tier = Tier::kFull;
-  bool tier_delta_ok = true;
-  FrameHub::WaitOptions options;
-  options.timeout_s = s->timeout_s;
-  if (s->session) {
-    const ClientSession::Decision decision =
-        s->session->decide(now, cadence, s->view);
-    tier = decision.tier;
-    tier_delta_ok = decision.allow_delta;
-    options.latest_only = decision.skip_to_latest;
-    if (decision.not_before_s > now) {
-      options.not_before =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(decision.not_before_s - now));
-    }
-  }
-  s->hub->wait_async(s->since, options, [s, tier, tier_delta_ok,
-                                         cadence](FramePtr frame) {
-    if (!frame) {
-      if (s->hub->is_shutdown()) {
-        // The shard is gone — reaped idle or server stopping. End the
-        // stream cleanly (terminal chunk, close); a reconnecting client
-        // brings its stale cursor and takes the same clamp-to-head resync
-        // long-pollers take against a revived shard.
-        s->sink.end();
-        return;
-      }
-      if (s->session) s->session->on_timeout(mono_now_s());
-      // Comment line: feeds the client's liveness timer without touching
-      // onmessage, the SSE idiom for "still here, nothing new".
-      s->sink.chunk(": keepalive\n\n", [s] { sse_pump(s); });
-      return;
-    }
-    // Identical body selection to /api/poll's completion: sequential
-    // prebuilt delta, cursor-anchored assembled delta, else the full
-    // snapshot at the session's tier.
-    std::shared_ptr<const std::string> body;
-    const std::uint64_t since = s->since;
-    const bool want_delta = s->want_delta && tier_delta_ok && !s->force_full;
-    if (want_delta && frame->seq == since + 1) {
-      body = body_shared(frame, tier, true);
-    } else if (want_delta && since > 0 && frame->seq > since + 1) {
-      std::string assembled = s->hub->delta_body_for(frame, since, tier);
-      if (!assembled.empty()) {
-        body = std::make_shared<const std::string>(std::move(assembled));
-      }
-    }
-    if (!body || body->empty()) body = body_shared(frame, tier, false);
-    s->force_full = false;
-    const std::uint64_t skipped =
-        (since != 0 && frame->seq > since + 1) ? frame->seq - since - 1 : 0;
-    s->since = frame->seq;
-    // The event is a chain, not a concatenation: tiny copied framing lines
-    // bracket the shared body buffer (compact JSON: never carries a raw
-    // newline), which rides to the socket without being copied per client.
-    const std::size_t bytes = body->size();
-    net::BufferChain event;
-    event.append_copy("id: " + std::to_string(frame->seq) + "\ndata: ");
-    event.append_shared(std::move(body));
-    event.append_copy("\n\n");
-    // Dispatch stamp at chunk issue; the drained callback below completes
-    // the RTT bracket the delay-based controllers consume.
-    if (s->session) s->session->note_dispatch(mono_now_s(), s->view);
-    s->sink.chunk(std::move(event), [s, bytes, skipped, tier, cadence] {
-      if (s->session) {
-        s->session->on_delivered(mono_now_s(), bytes, skipped, tier, cadence,
-                                 s->view);
-      }
-      // A stream subscribes once but consumes continuously; each drained
-      // event counts as subscriber activity for the shard's idle-reap
-      // clock, as each poll's subscribe() does.
-      s->registry->touch(s->view);
-      sse_pump(s);
-    });
-  });
-}
-
-const std::map<std::string, std::string> kSseHeaders = {
-    {"Content-Type", "text/event-stream"}, {"Cache-Control", "no-cache"}};
-const std::map<std::string, std::string> kTextHeaders = {
-    {"Content-Type", "text/plain; charset=utf-8"}};
-
-/// Error path for a stream route: a non-200 chunked response with a short
-/// text body. EventSource treats any non-200 as a fatal error, which is
-/// what drives the dashboard's fallback to long-poll.
-void stream_error(const HttpServer::StreamSink& sink, int status,
-                  const std::string& message) {
-  sink.begin(kTextHeaders, status);
-  sink.chunk(message + "\n");
-  sink.end();
-}
-
-}  // namespace
-
-void AjaxFrontEnd::handle_stream(const HttpRequest& request,
-                                 HttpServer::StreamSink sink) {
-  std::string view;
-  const std::shared_ptr<FrameHub> hub = resolve_view(request, &view);
-  if (!hub) {
-    stream_error(sink, 404, "not found");
-    return;
-  }
-  std::uint64_t since = 0;
-  if (!parse_since(request.query_param("since", "0"), since)) {
-    stream_error(sink, 400, "since must be a non-negative integer");
-    return;
-  }
-  double timeout = config_.poll_timeout_s;
-  const std::string timeout_raw = request.query_param("timeout");
-  if (!timeout_raw.empty() &&
-      !parse_timeout(timeout_raw, config_.poll_timeout_s, timeout)) {
-    stream_error(sink, 400, "timeout must be a number, not NaN");
-    return;
-  }
-  // Unlike a poll — where the client pays a round-trip per retry — the
-  // keepalive loop here is server-driven, so a zero timeout would spin it
-  // at wire speed. Floor it.
-  timeout = std::max(timeout, 0.05);
-
-  sink.begin(kSseHeaders);
-  // HEAD: the headers a stream would carry were sent and the connection
-  // closed — never a parked suppressed infinite body.
-  if (sink.head_only()) return;
-
-  auto s = std::make_shared<SseStream>();
-  s->hub = hub;
-  s->registry = &registry_;
-  s->frame_period = &frame_period_s_;
-  s->view = std::move(view);
-  s->sink = std::move(sink);
-  s->since = since;
-  s->want_delta = request.query_param("delta", "0") == "1";
-  s->force_full = request.query_param("full", "0") == "1";
-  s->timeout_s = timeout;
-  const std::string client = sanitize_client_id(request.query_param("client"));
-  if (!client.empty()) {
-    // Same table as /api/poll: a browser that switches transports keeps
-    // its meters, and pacing tiers span both channels.
-    s->session =
-        registry_.sessions().acquire(client, request.peer, mono_now_s());
-  }
-  sse_pump(s);
-}
-
-HttpResponse AjaxFrontEnd::handle_index(const HttpRequest&) {
-  return HttpResponse::html(kDashboardHtml);
-}
-
-HttpResponse AjaxFrontEnd::handle_state(const HttpRequest& request) {
-  const std::shared_ptr<FrameHub> hub = resolve_view(request, nullptr);
-  if (!hub) return HttpResponse::not_found();
-  util::Json out;
-  const FramePtr frame = hub->latest();
-  out["seq"] = static_cast<double>(frame ? frame->seq : 0);
-  out["state"] = frame ? frame->state : util::Json();
-  return HttpResponse::json(out.dump());
-}
-
-namespace {
-
-util::Json hub_stats_json(const FrameHub& hub) {
-  const FrameHub::Stats s = hub.stats();
-  util::Json out;
-  out["seq"] = static_cast<double>(hub.seq());
-  out["published"] = static_cast<double>(s.published);
-  out["served"] = static_cast<double>(s.served);
-  out["timeouts"] = static_cast<double>(s.timeouts);
-  out["waiting"] = static_cast<double>(s.waiting);
-  out["waiting_peak"] = static_cast<double>(s.waiting_peak);
-  out["image_encodes"] = static_cast<double>(s.image_encodes);
-  out["preencoded_publishes"] = static_cast<double>(s.preencoded_publishes);
-  out["image_bytes_in"] = static_cast<double>(s.image_bytes_in);
-  out["image_bytes_out"] = static_cast<double>(s.image_bytes_out);
-  return out;
-}
-
-}  // namespace
-
 HttpResponse AjaxFrontEnd::handle_stats(const HttpRequest& request) {
-  // Monitoring must observe, not revive: resolve_view()'s subscribe()
-  // would refresh a reaped shard's idle clock and rebuild its hub, so a
-  // stats scraper alone could keep an unwatched view alive forever. Look
-  // up without revival instead; a known-but-reaped view reports live=false
+  // Monitoring must observe, not revive: hub_for()'s subscribe() would
+  // refresh a reaped shard's idle clock and rebuild its hub, so a stats
+  // scraper alone could keep an unwatched view alive forever. Look up
+  // without revival instead; a known-but-reaped view reports live=false
   // with zeroed hub counters, only unknown names are a 404.
   std::string view = request.query_param("view");
   if (view.empty()) view = registry_.default_view_name();
-  std::shared_ptr<FrameHub> hub;
-  if (view == registry_.default_view_name()) {
-    hub = main_hub_;
-  } else {
-    if (!registry_.known(view)) return HttpResponse::not_found();
-    hub = registry_.find(view);
-  }
+  if (!registry_.known(view)) return HttpResponse::not_found();
+  const std::shared_ptr<FrameHub> hub = registry_.find(view);
   // Top level keeps the pre-sharding shape, describing the requested (or
   // default) view's shard; the `views` block carries every *live* shard so
   // dashboards can enumerate what is watchable, and `registry` the shard
@@ -889,18 +488,8 @@ HttpResponse AjaxFrontEnd::handle_stats(const HttpRequest& request) {
   util::Json out = hub ? hub_stats_json(*hub) : util::Json();
   out["view"] = view;
   out["live"] = hub != nullptr;
-  out["connections_open"] = static_cast<double>(server_.connections_open());
-  out["bytes_sent"] = static_cast<double>(server_.bytes_sent());
-  out["requests_served"] = static_cast<double>(server_.requests_served());
   out["steers"] = static_cast<double>(steers_.load());
-  {
-    util::Json views;
-    for (const std::string& name : registry_.view_names()) {
-      const std::shared_ptr<FrameHub> shard = registry_.find(name);
-      if (shard) views[name] = hub_stats_json(*shard);
-    }
-    out["views"] = views;
-  }
+  add_node_stats(out, server_, registry_);
   {
     const HubRegistry::Stats rs = registry_.stats();
     util::Json registry;
@@ -910,10 +499,6 @@ HttpResponse AjaxFrontEnd::handle_stats(const HttpRequest& request) {
     registry["reaped"] = static_cast<double>(rs.reaped);
     out["registry"] = registry;
   }
-  // Per-client adaptive pacing: session count, tier occupancy, and the
-  // per-session goodput/interval/tier detail. Registry-level — sessions
-  // span views.
-  out["pacing"] = registry_.sessions().stats_json(mono_now_s());
   return HttpResponse::json(out.dump());
 }
 
@@ -961,7 +546,7 @@ RangeParse parse_byte_range(const std::string& header, std::size_t total,
 }  // namespace
 
 HttpResponse AjaxFrontEnd::handle_image(const HttpRequest& request) {
-  const std::shared_ptr<FrameHub> hub = resolve_view(request, nullptr);
+  const std::shared_ptr<FrameHub> hub = frames_.hub_for(request);
   if (!hub) return HttpResponse::not_found();
   const FramePtr frame = hub->latest();
   if (!frame || frame->png.empty()) return HttpResponse::not_found();

@@ -20,7 +20,8 @@
 // dashboard negotiates per client — EventSource when available, falling
 // back to long-poll on any failure — and both transports share the
 // SessionTable, so pacing tiers and per-view delta contracts are identical
-// whichever channel a client rides.
+// whichever channel a client rides. web::FrameServer (web/serve.hpp) serves
+// both transports and /api/state, for relays as for the origin.
 #pragma once
 
 #include <atomic>
@@ -34,6 +35,7 @@
 #include "web/http.hpp"
 #include "web/hub.hpp"
 #include "web/registry.hpp"
+#include "web/serve.hpp"
 #include "web/session.hpp"
 
 namespace ricsa::web {
@@ -120,17 +122,7 @@ class AjaxFrontEnd {
  private:
   void register_routes();
   void frame_loop();
-  void handle_poll_async(const HttpRequest& request,
-                         HttpServer::ResponseSink sink);
-  void handle_stream(const HttpRequest& request, HttpServer::StreamSink sink);
-  /// Shard lookup for a request's `view=` parameter: the default hub when
-  /// absent, null (→ 404) for names the publisher never declared.
-  /// `resolved` receives the canonical view name.
-  std::shared_ptr<FrameHub> resolve_view(const HttpRequest& request,
-                                         std::string* resolved);
 
-  HttpResponse handle_index(const HttpRequest& request);
-  HttpResponse handle_state(const HttpRequest& request);
   HttpResponse handle_stats(const HttpRequest& request);
   HttpResponse handle_image(const HttpRequest& request);
   HttpResponse handle_steer(const HttpRequest& request);
@@ -144,8 +136,11 @@ class AjaxFrontEnd {
   HttpServer server_;
   HubRegistry registry_;
   /// The default view's shard, pinned for the front end's lifetime (the
-  /// hub()/frame_seq() accessors and the unsharded routes ride on it).
+  /// hub()/frame_seq() accessors ride on it).
   std::shared_ptr<FrameHub> main_hub_;
+  /// /api/poll, /api/stream and /api/state, paced against the measured
+  /// publish period.
+  FrameServer frames_;
   std::thread loop_thread_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> steers_{0};

@@ -262,7 +262,7 @@ std::uint64_t FrameHub::publish(util::Json state, const viz::Image& image,
     }
   }
 
-  return commit_frame(std::move(frame), cost, false);
+  return commit_frame(std::move(frame), cost);
 }
 
 std::uint64_t FrameHub::publish_encoded(PreEncoded pre) {
@@ -278,16 +278,16 @@ std::uint64_t FrameHub::publish_encoded(PreEncoded pre) {
   auto frame = std::make_shared<Frame>();
   frame->seq = (prev ? prev->seq : 0) + 1;
   frame->state = std::move(pre.state);
+  frame->preencoded = true;
   frame->bodies[static_cast<std::size_t>(Tier::kFull)].full =
       std::move(pre.full_body);
   frame->bodies[static_cast<std::size_t>(Tier::kFull)].delta =
       std::move(pre.delta_body);
-  return commit_frame(std::move(frame), {}, true);
+  return commit_frame(std::move(frame), {});
 }
 
 std::uint64_t FrameHub::commit_frame(std::shared_ptr<Frame> frame,
-                                     const EncodeCost& cost,
-                                     bool preencoded) {
+                                     const EncodeCost& cost) {
   bool waiters_remain = false;
   auto remain_hint = std::chrono::steady_clock::time_point::max();
   {
@@ -341,7 +341,7 @@ std::uint64_t FrameHub::commit_frame(std::shared_ptr<Frame> frame,
     stats_.image_encodes += cost.encodes;
     stats_.image_bytes_in += cost.bytes_in;
     stats_.image_bytes_out += cost.bytes_out;
-    if (preencoded) stats_.preencoded_publishes++;
+    if (frame->preencoded) stats_.preencoded_publishes++;
     stats_.served += satisfied.size();
     stats_.waiting = waiters_.size();
 

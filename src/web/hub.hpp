@@ -128,6 +128,9 @@ struct Frame {
 
   std::size_t delta_keys = 0;  // state keys that changed vs predecessor
   bool image_changed = true;
+  /// Injected through publish_encoded(): the bodies were received, not
+  /// rendered here, and only the full tier's exist.
+  bool preencoded = false;
 
   /// Body to serve for a tier. A half tier that was not built for this
   /// frame (no client demanded it at publish time) falls back to the full
@@ -325,10 +328,9 @@ class FrameHub {
   /// Shared publish tail: append `frame` to the window, age raws past the
   /// raw window, satisfy waiters, update stats, fan out on the pool.
   /// Requires publish_mutex_ held; takes mutex_ itself. `cost` is the
-  /// encode work the build performed; `preencoded` marks a
-  /// publish_encoded() frame.
+  /// encode work the build performed.
   std::uint64_t commit_frame(std::shared_ptr<Frame> frame,
-                             const EncodeCost& cost, bool preencoded);
+                             const EncodeCost& cost);
   FramePtr next_after_locked(std::uint64_t since) const;  // requires mutex_
   FramePtr frame_for_locked(const Waiter& waiter) const;  // requires mutex_
   /// Earliest actionable instant over the parked waiters. Requires mutex_

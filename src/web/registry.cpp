@@ -22,10 +22,6 @@ std::shared_ptr<FrameHub> HubRegistry::revive_locked(Shard& shard) {
   return shard.hub;
 }
 
-std::shared_ptr<FrameHub> HubRegistry::default_hub() {
-  return pin(config_.default_view);
-}
-
 std::shared_ptr<FrameHub> HubRegistry::pin(const std::string& view) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (shutdown_) return nullptr;

@@ -77,9 +77,6 @@ class HubRegistry {
   HubRegistry& operator=(const HubRegistry&) = delete;
 
   const std::string& default_view_name() const { return config_.default_view; }
-  /// The default view's shard, created (and pinned against reaping) on
-  /// first use: the stable hub the single-view API surface rides on.
-  std::shared_ptr<FrameHub> default_hub();
 
   /// Publish a frame into `view`, creating or reviving its shard first.
   /// Returns the shard's new seq, or 0 when refused (shutdown, or a new

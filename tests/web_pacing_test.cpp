@@ -16,11 +16,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "relay/relay.hpp"
 #include "time_scale.hpp"
 #include "util/json.hpp"
 #include "web/frontend.hpp"
@@ -29,6 +32,7 @@
 #include "web/session.hpp"
 
 namespace w = ricsa::web;
+namespace r = ricsa::relay;
 using ricsa::util::Json;
 
 namespace {
@@ -94,6 +98,32 @@ TEST(ClientSession, SlowClientDowngradesToCheapestTierAndIsPaced) {
   const Json stats = s.stats_json(t);
   EXPECT_EQ(stats.at("tier").as_string(), "state");
   EXPECT_GE(stats.at("downgrades").as_number(), 2.0);
+}
+
+TEST(ClientSession, ControllerGainTunesTheThrottledInterval) {
+  // The Eq. 1 gain lives in one place, the law's own config: a session
+  // built with a non-default pacing.controller.rmsa_gain_a must pace a
+  // client on the cheapest tier differently from the default gain. (The
+  // default saturates its first step at the interval ceiling; a gain of
+  // 0.3 takes small steps.)
+  const auto throttled_interval = [](double gain) {
+    w::PacingConfig config = pacing_config();
+    config.controller.rmsa_gain_a = gain;
+    w::ClientSession s(config, "gain", "", 0.0);
+    double t = 0.0;
+    for (int i = 0; i < 12; ++i) {
+      t += 0.2;  // drains a quarter of the offered rate
+      s.on_delivered(t, kSizes[static_cast<std::size_t>(s.tier())], 0,
+                     s.tier(), 0.05);
+    }
+    EXPECT_EQ(s.tier(), w::Tier::kStateOnly);
+    return s.interval_s();
+  };
+  const double default_gain = throttled_interval(1.0);
+  const double low_gain = throttled_interval(0.3);
+  EXPECT_GT(low_gain, 0.05 * 1.25);  // throttled at all
+  EXPECT_GT(std::abs(low_gain - default_gain), 0.01)
+      << "default " << default_gain << " vs gain 0.3: " << low_gain;
 }
 
 TEST(ClientSession, TierTransitionSuspendsDeltaUntilAFullBodyIsServed) {
@@ -237,42 +267,66 @@ TEST(SessionTable, CapsLiveSessionsAndRefusesBeyondIt) {
 
 TEST(PollParams, NaNNegativeAndMalformedTimeoutsNeverReachTheHub) {
   w::AjaxFrontEnd fe(small_frontend());
-  const int port = fe.start();
-  while (fe.frame_seq() == 0) {
+  const int origin_port = fe.start();
+  // A relay serves the same contract through the same code: every probe
+  // below runs against both servers.
+  r::RelayNodeConfig relay_config;
+  relay_config.subscriber.upstream_port = origin_port;
+  relay_config.subscriber.views = {"main"};
+  relay_config.subscriber.relay_id = "params-relay";
+  relay_config.poll_timeout_s = 5.0;
+  r::RelayNode relay(relay_config);
+  relay.start();
+  const auto relay_hub = relay.registry().find("main");
+  while (fe.frame_seq() == 0 || relay_hub->seq() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
 
-  // std::stod("nan") parses without throwing; it must still be rejected.
-  EXPECT_EQ(w::http_get(port, "/api/poll?since=0&timeout=nan").status, 400);
-  EXPECT_EQ(w::http_get(port, "/api/poll?since=0&timeout=-nan").status, 400);
-  // Entirely non-numeric input is a 400, not a silent default.
-  EXPECT_EQ(w::http_get(port, "/api/poll?since=0&timeout=soon").status, 400);
-  EXPECT_EQ(w::http_get(port, "/api/poll?since=xyz&timeout=1").status, 400);
-  // std::stoull would silently wrap "-1" to 2^64-1; it must be a 400.
-  EXPECT_EQ(w::http_get(port, "/api/poll?since=-1&timeout=1").status, 400);
-  // Trailing garbage is not a number either.
-  EXPECT_EQ(w::http_get(port, "/api/poll?since=5xyz&timeout=1").status, 400);
-  EXPECT_EQ(w::http_get(port, "/api/poll?since=0&timeout=2abc").status, 400);
+  for (const int port : {origin_port, relay.port()}) {
+    SCOPED_TRACE(port == origin_port ? "origin" : "relay");
+    // std::stod("nan") parses without throwing; it must still be rejected.
+    EXPECT_EQ(w::http_get(port, "/api/poll?since=0&timeout=nan").status, 400);
+    EXPECT_EQ(w::http_get(port, "/api/poll?since=0&timeout=-nan").status, 400);
+    // Entirely non-numeric input is a 400, not a silent default.
+    EXPECT_EQ(w::http_get(port, "/api/poll?since=0&timeout=soon").status, 400);
+    EXPECT_EQ(w::http_get(port, "/api/poll?since=xyz&timeout=1").status, 400);
+    // std::stoull would silently wrap "-1" to 2^64-1; it must be a 400.
+    EXPECT_EQ(w::http_get(port, "/api/poll?since=-1&timeout=1").status, 400);
+    // Trailing garbage is not a number either.
+    EXPECT_EQ(w::http_get(port, "/api/poll?since=5xyz&timeout=1").status, 400);
+    EXPECT_EQ(w::http_get(port, "/api/poll?since=0&timeout=2abc").status, 400);
+    // A view the publisher never declared is a 404.
+    EXPECT_EQ(w::http_get(port, "/api/poll?view=nope&timeout=1").status, 404);
 
-  // A negative timeout clamps to zero: with a future cursor (clamped to
-  // the head, waiting for the next publish) that means an immediate, clean
-  // 200-timeout — not a negative deadline in the hub.
-  const std::string future =
-      std::to_string(fe.frame_seq() + 1000);
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto neg =
-      w::http_get(port, "/api/poll?since=" + future + "&timeout=-5");
-  EXPECT_EQ(neg.status, 200);
-  EXPECT_TRUE(Json::parse(neg.body).contains("timeout"));
-  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count(),
-            2.0);
+    // A negative timeout clamps to zero: with a future cursor (clamped to
+    // the head, waiting for the next publish) that means an immediate,
+    // clean 200-timeout — not a negative deadline in the hub. The relay's
+    // local seqs trail the origin's, so this cursor is ahead on both.
+    const std::uint64_t future = fe.frame_seq() + 1000;
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto neg = w::http_get(
+        port, "/api/poll?since=" + std::to_string(future) + "&timeout=-5");
+    EXPECT_EQ(neg.status, 200);
+    EXPECT_TRUE(Json::parse(neg.body).contains("timeout"));
+    EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            t0)
+                  .count(),
+              2.0);
+    // The timeout echoes the client's own cursor; a relay names itself.
+    EXPECT_EQ(Json::parse(neg.body).at("seq").as_number(),
+              static_cast<double>(future));
+    if (port == relay.port()) {
+      ASSERT_TRUE(neg.headers.count("x-relay-path"));
+      EXPECT_EQ(neg.headers.at("x-relay-path"), "params-relay");
+    }
 
-  // +inf is finite-bounded by the configured ceiling, and a frame already
-  // exists, so this returns it immediately.
-  const auto inf = w::http_get(port, "/api/poll?since=0&timeout=inf");
-  EXPECT_EQ(inf.status, 200);
-  EXPECT_GE(Json::parse(inf.body).at("seq").as_number(), 1.0);
+    // +inf is finite-bounded by the configured ceiling, and a frame already
+    // exists, so this returns it immediately.
+    const auto inf = w::http_get(port, "/api/poll?since=0&timeout=inf");
+    EXPECT_EQ(inf.status, 200);
+    EXPECT_GE(Json::parse(inf.body).at("seq").as_number(), 1.0);
+  }
+  relay.stop();
   fe.stop();
 }
 

@@ -2,6 +2,7 @@
 // render-skip registry query, end-to-end frame forwarding through a relay
 // node (seq rebasing, delta continuity, the never-decodes counters),
 // resync through an upstream restart, serving-side escalation latching,
+// full-tier serving to a paced client below the full tier,
 // topology guards (cycle and depth-cap aborts), the long-poll transport
 // fallback, and the hardened HttpClient retry schedule.
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "web/frontend.hpp"
 #include "web/http.hpp"
 #include "web/registry.hpp"
+#include "web/session.hpp"
 
 namespace w = ricsa::web;
 namespace r = ricsa::relay;
@@ -335,6 +337,66 @@ TEST(RelayNode, FullFrameEscalationServesSnapshotsAndLatches) {
       relay.subscriber().stats()[0].second.resyncs - resyncs_before;
   EXPECT_GE(escalations, 1u);
   EXPECT_LE(escalations, 3u);
+
+  relay.stop();
+  origin.stop();
+}
+
+// ------------------------------------------ paced clients, relayed tier ----
+
+TEST(RelayNode, ClientBelowFullTierStillGetsFullTierSequentialDeltas) {
+  // A relayed frame carries only the full tier's bodies. A client whose
+  // session sits on a cheaper tier must still be served — and accounted —
+  // at the full tier: asking the frame for a half-tier body finds none,
+  // falls back to the full body a delta-only frame lacks, and turns every
+  // poll into an upstream resync.
+  w::FrontEndConfig origin_config = small_origin();
+  // Room between one poll's answer and the next poll's arrival, so each
+  // poll parks before the next frame and is answered sequentially.
+  origin_config.frame_interval_s = 0.25;
+  w::AjaxFrontEnd origin(origin_config);
+  const int origin_port = origin.start();
+  r::RelayNodeConfig config = small_relay(origin_port, "tier-relay");
+  // Only the staged samples below may move the tier, not the live polls.
+  config.pacing.downgrade_streak = 8;
+  r::RelayNode relay(config);
+  relay.start();
+  wait_for_relay_head(relay, 2);
+
+  // Stage the session on the half tier with slow deliveries on another
+  // view, old enough to sit outside the meter window: "main" stays
+  // unpaced and its first delivery is the test's.
+  const double now = w::mono_now_s();
+  const auto session =
+      relay.registry().sessions().acquire("slow-client", "", now - 30.0);
+  ASSERT_NE(session, nullptr);
+  for (int i = 0; i < 8; ++i) {
+    session->on_delivered(now - 28.0 + 2.0 * i, 1000, 0, w::Tier::kFull,
+                          config.pacing.frame_interval_s, "staging");
+  }
+  ASSERT_EQ(session->tier(), w::Tier::kHalf);
+
+  const auto relay_resyncs = [&] {
+    const Json stats = Json::parse(w::http_get(relay.port(), "/api/stats").body);
+    return stats.at("subscriber").at("main").at("resyncs").as_number();
+  };
+  const double resyncs_before = relay_resyncs();
+  std::uint64_t since = body_seq(w::http_get(relay.port(), "/api/state").body);
+  for (int i = 0; i < 4; ++i) {
+    const auto poll = w::http_get(
+        relay.port(), "/api/poll?since=" + std::to_string(since) +
+                          "&delta=1&client=slow-client&timeout=5");
+    ASSERT_EQ(poll.status, 200);
+    ASSERT_EQ(body_seq(poll.body), since + 1) << poll.body;
+    EXPECT_FALSE(body_is_full(poll.body)) << poll.body;
+    since = body_seq(poll.body);
+  }
+  EXPECT_EQ(relay_resyncs(), resyncs_before);
+  // Every relay delivery reached the session's meters (8 staged + 4).
+  const Json pacing =
+      Json::parse(w::http_get(relay.port(), "/api/stats").body).at("pacing");
+  EXPECT_GE(pacing.at("clients").as_array().at(0).at("delivered").as_number(),
+            12.0);
 
   relay.stop();
   origin.stop();

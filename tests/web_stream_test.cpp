@@ -24,18 +24,21 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "time_scale.hpp"
 
+#include "relay/relay.hpp"
 #include "util/json.hpp"
 #include "web/frontend.hpp"
 #include "web/http.hpp"
 #include "web/hub.hpp"
 
 namespace w = ricsa::web;
+namespace r = ricsa::relay;
 using ricsa::util::Json;
 
 namespace {
@@ -61,6 +64,24 @@ w::FrontEndConfig paced_config() {
   config.pacing.upgrade_streak = 3;
   config.pacing.meter_window_s = 0.5;
   return config;
+}
+
+/// A relay node subscribed to `origin_port`, started, with a frame in its
+/// local hub: the second server the request-contract tests run against.
+std::unique_ptr<r::RelayNode> start_relay(int origin_port) {
+  r::RelayNodeConfig config;
+  config.subscriber.upstream_port = origin_port;
+  config.subscriber.views = {"main"};
+  config.subscriber.relay_id = "contract-relay";
+  config.poll_timeout_s = 5.0;
+  auto relay = std::make_unique<r::RelayNode>(config);
+  relay->start();
+  const auto hub = relay->registry().find("main");
+  for (int i = 0; i < 500 && hub->seq() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GT(hub->seq(), 0u);
+  return relay;
 }
 
 int connect_to(int port, int rcvbuf = 0) {
@@ -458,41 +479,58 @@ TEST(HttpStream, PipelinedBytesBehindStreamAreDiscarded) {
 
 TEST(SseStream, HeadAnswersEventStreamHeadersAndWrongMethodIs405) {
   w::AjaxFrontEnd fe(fast_config());
-  const int port = fe.start();
+  const int origin_port = fe.start();
+  // A relay serves /api/stream through the same code, with its
+  // X-Relay-Path header on the stream's head.
+  const auto relay = start_relay(origin_port);
+  for (const int port : {origin_port, relay->port()}) {
+    SCOPED_TRACE(port == origin_port ? "origin" : "relay");
+    const int fd = connect_to(port);
+    ASSERT_GE(fd, 0);
+    const std::string request =
+        "HEAD /api/stream HTTP/1.1\r\nHost: x\r\n\r\n";
+    ASSERT_TRUE(w::detail::write_all(fd, request.data(), request.size()));
+    const std::string wire = read_to_eof(fd, 2.0);
+    ::close(fd);
+    EXPECT_NE(wire.find("HTTP/1.1 200"), std::string::npos);
+    EXPECT_NE(wire.find("Content-Type: text/event-stream"), std::string::npos);
+    EXPECT_EQ(wire.substr(wire.size() - 4), "\r\n\r\n");
+    if (port == relay->port()) {
+      EXPECT_NE(wire.find("X-Relay-Path: contract-relay"), std::string::npos);
+    }
 
-  const int fd = connect_to(port);
-  ASSERT_GE(fd, 0);
-  const std::string request = "HEAD /api/stream HTTP/1.1\r\nHost: x\r\n\r\n";
-  ASSERT_TRUE(w::detail::write_all(fd, request.data(), request.size()));
-  const std::string wire = read_to_eof(fd, 2.0);
-  ::close(fd);
-  EXPECT_NE(wire.find("HTTP/1.1 200"), std::string::npos);
-  EXPECT_NE(wire.find("Content-Type: text/event-stream"), std::string::npos);
-  EXPECT_EQ(wire.substr(wire.size() - 4), "\r\n\r\n");
-
-  const auto post = w::http_post(port, "/api/stream", "{}");
-  EXPECT_EQ(post.status, 405);
-  EXPECT_NE(post.headers.at("allow").find("GET"), std::string::npos);
+    const auto post = w::http_post(port, "/api/stream", "{}");
+    EXPECT_EQ(post.status, 405);
+    EXPECT_NE(post.headers.at("allow").find("GET"), std::string::npos);
+  }
+  relay->stop();
   fe.stop();
 }
 
 TEST(SseStream, BadParametersRejectedBeforeConverting) {
   w::AjaxFrontEnd fe(fast_config());
-  const int port = fe.start();
-  for (const std::string query :
-       {"?view=nope", "?since=abc", "?timeout=nan"}) {
-    const int fd = connect_to(port);
-    ASSERT_GE(fd, 0);
-    const std::string request =
-        "GET /api/stream" + query + " HTTP/1.1\r\nHost: x\r\n\r\n";
-    ASSERT_TRUE(w::detail::write_all(fd, request.data(), request.size()));
-    const std::string wire = read_to_eof(fd, 2.0);
-    ::close(fd);
-    const int status = std::stoi(wire.substr(9, 3));
-    EXPECT_TRUE(status == 400 || status == 404) << query << " -> " << wire;
-    // Error replies are still well-formed terminated streams.
-    EXPECT_NE(wire.find("0\r\n\r\n"), std::string::npos) << query;
+  const int origin_port = fe.start();
+  const auto relay = start_relay(origin_port);
+  for (const int port : {origin_port, relay->port()}) {
+    for (const std::string query :
+         {"?view=nope", "?since=abc", "?since=-1", "?timeout=nan"}) {
+      const int fd = connect_to(port);
+      ASSERT_GE(fd, 0);
+      const std::string request =
+          "GET /api/stream" + query + " HTTP/1.1\r\nHost: x\r\n\r\n";
+      ASSERT_TRUE(w::detail::write_all(fd, request.data(), request.size()));
+      const std::string wire = read_to_eof(fd, 2.0);
+      ::close(fd);
+      const int status = std::stoi(wire.substr(9, 3));
+      EXPECT_TRUE(status == 400 || status == 404) << query << " -> " << wire;
+      // Error replies are still well-formed terminated streams.
+      EXPECT_NE(wire.find("0\r\n\r\n"), std::string::npos) << query;
+      // An unknown view is a 404; every malformed parameter a 400.
+      EXPECT_EQ(status, query == "?view=nope" ? 404 : 400)
+          << query << " on port " << port;
+    }
   }
+  relay->stop();
   fe.stop();
 }
 
