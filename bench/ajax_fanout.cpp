@@ -70,17 +70,17 @@
 // driven through an emulated WAN (src/netsim/: bandwidth-limited last-mile
 // links with propagation delay and on/off cross-traffic bursts) in virtual
 // time, once per congestion-control law — the paper's Robbins-Monro Eq. 1
-// (rmsa), the delay-gradient law (gradient), and the trendline law. The
-// comparison reports tier flaps (downgrade/upgrade oscillation at the
-// capacity boundary) and fast-client delivery p99 per controller: the
-// delay-based laws must hold slow clients steady where utilization-only
-// feedback probes and collapses, without costing prompt clients latency.
+// (rmsa) and the delay-based trendline law. The comparison reports tier
+// flaps (downgrade/upgrade oscillation at the capacity boundary), slow-client
+// goodput and fast-client delivery p99 per controller: the delay law must
+// hold slow clients steady where utilization-only feedback probes and
+// collapses, without costing prompt clients latency.
 // Deterministic (virtual time, seeded PRNGs) and CI-cheap: simulated
 // seconds are free.
 //
 // Usage: ajax_fanout [--clients 64,256,512] [--duration-s 4]
 //                    [--slow-fraction 0.1] [--frame-interval-s 0.05]
-//                    [--relays 4] [--controller rmsa|gradient|trendline]
+//                    [--relays 4] [--controller rmsa|trendline]
 //                    [--scenario plain|mixed|fanout|delta|shard|transport|
 //                     multireactor|relay|congestion]
 #include <dirent.h>
@@ -736,7 +736,7 @@ Json run_congestion_round(ricsa::transport::ControllerKind kind,
   // Slow clients share a congested bottleneck in groups of four — a
   // branch-office uplink with competing cross traffic. Sharing is what
   // makes pacing causal: send faster than the group's fair share and the
-  // standing queue (everyone's RTT) grows, which the delay laws see
+  // standing queue (everyone's RTT) grows, which the delay law sees
   // immediately and utilization-only feedback sees only after deliveries
   // collapse. Fast clients get private ample links.
   constexpr int kSlowShare = 4;
@@ -747,7 +747,7 @@ Json run_congestion_round(ricsa::transport::ControllerKind kind,
   const auto make_link = [&](bool slow, int index) {
     ns::LinkConfig lc;
     // No random loss and a deep queue: congestion shows up as queueing
-    // delay (the delay laws' signal) and collapsed utilization (RMSA's),
+    // delay (the delay law's signal) and collapsed utilization (RMSA's),
     // never as a wedged client.
     lc.queue_capacity_bytes = 1 << 20;
     if (slow) {
@@ -906,6 +906,15 @@ int main(int argc, char** argv) {
   ricsa::transport::ControllerKind controller_kind =
       ricsa::transport::ControllerKind::kRmsa;
   std::string scenario = "plain";
+  const auto usage = [] {
+    std::fprintf(stderr,
+                 "usage: ajax_fanout [--clients 64,256,512] [--duration-s S]"
+                 " [--slow-fraction F] [--frame-interval-s S] [--relays N]"
+                 " [--controller rmsa|trendline]"
+                 " [--scenario plain|mixed|fanout|delta|shard|transport|"
+                 "multireactor|relay|congestion]\n");
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> std::string {
@@ -933,16 +942,10 @@ int main(int argc, char** argv) {
       const std::string name = next();
       if (!ricsa::transport::parse_controller_kind(name, &controller_kind)) {
         std::fprintf(stderr, "unknown --controller '%s'\n", name.c_str());
-        return 2;
+        return usage();
       }
     } else {
-      std::fprintf(stderr,
-                   "usage: ajax_fanout [--clients 64,256,512] [--duration-s S]"
-                   " [--slow-fraction F] [--frame-interval-s S] [--relays N]"
-                   " [--controller rmsa|gradient|trendline]"
-                   " [--scenario plain|mixed|fanout|delta|shard|transport|"
-                   "multireactor|relay|congestion]\n");
-      return 2;
+      return usage();
     }
   }
   if ((scenario == "mixed" || scenario == "fanout") && slow_fraction <= 0.0) {
@@ -1434,45 +1437,41 @@ int main(int argc, char** argv) {
       rounds.as_array().push_back(std::move(perturbed));
     } else if (scenario == "congestion") {
       // Same fleet and WAN, once per law. rmsa is the paper's Eq. 1
-      // baseline; gradient is the delay-based candidate under gate;
-      // trendline rides along for reference.
+      // baseline; trendline is the delay-based law under gate.
       using ricsa::transport::ControllerKind;
-      const struct {
-        ControllerKind kind;
-        const char* name;
-      } laws[] = {{ControllerKind::kRmsa, "rmsa"},
-                  {ControllerKind::kDelayGradient, "gradient"},
-                  {ControllerKind::kTrendline, "trendline"}};
+      const ControllerKind laws[] = {ControllerKind::kRmsa,
+                                     ControllerKind::kTrendline};
       std::map<std::string, Json> by_law;
-      for (const auto& law : laws) {
+      for (const ControllerKind law : laws) {
+        const char* name = ricsa::transport::controller_kind_name(law);
         std::fprintf(stderr,
                      "[ajax_fanout] congestion: %d clients (%.0f%% slow), "
                      "%s, %.0f virtual s...\n",
-                     n, slow_fraction * 100, law.name, duration_s);
-        by_law[law.name] = run_congestion_round(law.kind, n, slow_fraction,
-                                                duration_s, frame_interval_s);
+                     n, slow_fraction * 100, name, duration_s);
+        by_law[name] = run_congestion_round(law, n, slow_fraction, duration_s,
+                                            frame_interval_s);
       }
       Json cmp;
       cmp["clients"] = n;
-      for (const auto& law : laws) {
-        const Json& r = by_law[law.name];
-        const std::string suffix = std::string("_") + law.name;
+      for (const auto& [name, r] : by_law) {
+        const std::string suffix = "_" + name;
         cmp["tier_flaps" + suffix] = r.at("tier_flaps");
         cmp["fast_p99_ms" + suffix] =
             r.at("delivery_latency_fast_clients").at("p99_ms");
         cmp["slow_goodput_Bps" + suffix] = r.at("slow_goodput_Bps");
       }
-      // The acceptance headline: the delay-gradient law holds slow clients
+      // The acceptance headline: the trendline law holds slow clients
       // steady (fewer flaps) at equal-or-better fast-client latency.
       const double rmsa_flaps =
           by_law["rmsa"].at("tier_flaps").as_number();
-      const double grad_flaps =
-          by_law["gradient"].at("tier_flaps").as_number();
-      cmp["flap_reduction_gradient_vs_rmsa"] =
-          rmsa_flaps > 0 ? (rmsa_flaps - grad_flaps) / rmsa_flaps : 0.0;
+      const double trendline_flaps =
+          by_law["trendline"].at("tier_flaps").as_number();
+      cmp["flap_reduction_trendline_vs_rmsa"] =
+          rmsa_flaps > 0 ? (rmsa_flaps - trendline_flaps) / rmsa_flaps : 0.0;
       comparisons.as_array().push_back(cmp);
-      for (const auto& law : laws) {
-        rounds.as_array().push_back(std::move(by_law[law.name]));
+      for (const ControllerKind law : laws) {
+        rounds.as_array().push_back(
+            std::move(by_law[ricsa::transport::controller_kind_name(law)]));
       }
     } else {
       std::fprintf(stderr, "[ajax_fanout] %d clients for %.1f s...\n", n,

@@ -46,7 +46,7 @@ MAX_HISTORY_RUNS = 50
 MIN_PREV_MS = 1.0
 MIN_DELTA_MS = 5.0
 MIN_PREV_BYTES = 1024.0
-# Congestion A/B gate: the delay-gradient controller may cost at most this
+# Congestion A/B gate: the trendline controller may cost at most this
 # fraction of fast-client p99 relative to RMSA in the same run.
 CONGESTION_P99_TOLERANCE = 0.10
 # Compression gate: the tile-delta scenario's encoder must keep at least
@@ -235,7 +235,7 @@ def compare(name, previous, current, max_p99_regression,
 
 def congestion_gate(cur_root):
     """Absolute A/B gate on the congestion scenario, previous artifact or
-    not: the delay-gradient controller exists to remove tier flaps, so a
+    not: the trendline controller exists to remove tier flaps, so a
     run where it flaps at least as much as RMSA — or buys its stability
     with a slower fast-client p99 — failed at its one job."""
     path = cur_root / "ajax_fanout_congestion.json"
@@ -247,30 +247,29 @@ def congestion_gate(cur_root):
     failures = []
     for cmp_json in data.get("comparisons", []):
         rmsa_flaps = cmp_json.get("tier_flaps_rmsa")
-        grad_flaps = cmp_json.get("tier_flaps_gradient")
-        if rmsa_flaps is None or grad_flaps is None:
+        tl_flaps = cmp_json.get("tier_flaps_trendline")
+        if rmsa_flaps is None or tl_flaps is None:
             continue
         label = f"congestion clients={cmp_json.get('clients')}"
         verdict = "ok"
-        if grad_flaps >= rmsa_flaps:
+        if tl_flaps >= rmsa_flaps:
             verdict = "REGRESSION"
             failures.append(
-                f"{label}: gradient tier flaps {grad_flaps} not below "
+                f"{label}: trendline tier flaps {tl_flaps} not below "
                 f"rmsa {rmsa_flaps}")
         rmsa_p99 = cmp_json.get("fast_p99_ms_rmsa")
-        grad_p99 = cmp_json.get("fast_p99_ms_gradient")
-        if (rmsa_p99 is not None and grad_p99 is not None and
+        tl_p99 = cmp_json.get("fast_p99_ms_trendline")
+        if (rmsa_p99 is not None and tl_p99 is not None and
                 rmsa_p99 >= MIN_PREV_MS and
-                grad_p99 > rmsa_p99 * (1.0 + CONGESTION_P99_TOLERANCE)):
+                tl_p99 > rmsa_p99 * (1.0 + CONGESTION_P99_TOLERANCE)):
             verdict = "REGRESSION"
             failures.append(
-                f"{label}: gradient fast p99 {grad_p99:.1f} ms exceeds "
+                f"{label}: trendline fast p99 {tl_p99:.1f} ms exceeds "
                 f"rmsa {rmsa_p99:.1f} ms by more than "
                 f"{CONGESTION_P99_TOLERANCE * 100:.0f}%")
         print(f"[bench-delta] {label}: flaps rmsa={rmsa_flaps} "
-              f"gradient={grad_flaps} "
-              f"trendline={cmp_json.get('tier_flaps_trendline')}, "
-              f"fast p99 rmsa={rmsa_p99} gradient={grad_p99} ms [{verdict}]")
+              f"trendline={tl_flaps}, "
+              f"fast p99 rmsa={rmsa_p99} trendline={tl_p99} ms [{verdict}]")
     return failures
 
 

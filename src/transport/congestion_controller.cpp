@@ -21,8 +21,6 @@ const char* controller_kind_name(ControllerKind kind) {
   switch (kind) {
     case ControllerKind::kRmsa:
       return "rmsa";
-    case ControllerKind::kDelayGradient:
-      return "gradient";
     case ControllerKind::kTrendline:
       return "trendline";
   }
@@ -32,9 +30,6 @@ const char* controller_kind_name(ControllerKind kind) {
 bool parse_controller_kind(const std::string& name, ControllerKind* out) {
   if (name == "rmsa") {
     *out = ControllerKind::kRmsa;
-  } else if (name == "gradient" || name == "delay-gradient" ||
-             name == "timely") {
-    *out = ControllerKind::kDelayGradient;
   } else if (name == "trendline" || name == "gcc") {
     *out = ControllerKind::kTrendline;
   } else {
@@ -92,132 +87,9 @@ ControllerTelemetry RmsaPacingController::telemetry() const {
   return t;
 }
 
-// -------------------------------------------------- delay gradient (TIMELY)
-
-DelayGradientController::DelayGradientController(const ControllerConfig& config)
-    : config_(config) {
-  reset(0.2, 0.2, 2.0);
-}
-
-void DelayGradientController::reset(double initial_interval_s,
-                                    double min_interval_s,
-                                    double max_interval_s) {
-  min_interval_s_ = std::max(min_interval_s, 1e-6);
-  max_interval_s_ = std::max(max_interval_s, min_interval_s_);
-  rate_fps_ = 1.0 / std::clamp(initial_interval_s, min_interval_s_,
-                               max_interval_s_);
-  prev_rtt_s_ = -1.0;
-  last_rtt_s_ = -1.0;
-  // min_rtt_s_ survives reset() on purpose: the minimum RTT is a property
-  // of the path, not of the law's state, and the probe gate needs it
-  // immediately after a tier change (re-learning it at a congested level
-  // would declare the standing queue "empty").
-  rtt_diff_ewma_s_ = 0.0;
-  gradient_ = 0.0;
-  negative_run_ = 0;
-}
-
-double DelayGradientController::clamp_rate(double rate_fps) const {
-  return std::clamp(rate_fps, 1.0 / max_interval_s_, 1.0 / min_interval_s_);
-}
-
-double DelayGradientController::update(const CongestionSample& sample) {
-  const double rtt = delay_signal(sample);
-  if (sample.loss) {
-    // Delay-blind failure signal (drop, disconnect mid-write): treat like a
-    // full-weight gradient excursion.
-    rate_fps_ = clamp_rate(rate_fps_ * (1.0 - config_.dg_beta * 0.5));
-    negative_run_ = 0;
-    return 1.0 / rate_fps_;
-  }
-  if (rtt < 0.0) {
-    // No delay signal from this transport: hold the rate (the tier/streak
-    // machinery above still reacts to utilization).
-    return 1.0 / rate_fps_;
-  }
-  last_rtt_s_ = rtt;
-  min_rtt_s_ = min_rtt_s_ < 0.0 ? rtt : std::min(min_rtt_s_, rtt);
-  if (prev_rtt_s_ < 0.0) {
-    prev_rtt_s_ = rtt;
-    return 1.0 / rate_fps_;
-  }
-  const double diff = rtt - prev_rtt_s_;
-  prev_rtt_s_ = rtt;
-  rtt_diff_ewma_s_ = (1.0 - config_.dg_ewma_alpha) * rtt_diff_ewma_s_ +
-                     config_.dg_ewma_alpha * diff;
-  // Normalize the smoothed per-sample RTT change by the minimum RTT seen:
-  // the TIMELY gradient, unit-free.
-  const double floor_rtt =
-      std::max(config_.dg_min_rtt_s, min_rtt_s_ > 0.0 ? min_rtt_s_ : 0.0);
-  gradient_ = rtt_diff_ewma_s_ / floor_rtt;
-
-  if (rtt < config_.dg_t_low_s) {
-    // Below the low guard band the queue is empty regardless of gradient:
-    // additive increase.
-    negative_run_ = 0;
-    rate_fps_ = clamp_rate(rate_fps_ + config_.dg_addstep_fps);
-  } else if (rtt > config_.dg_t_high_s) {
-    // Above the high guard band the level itself is the emergency; decrease
-    // proportionally to how far past the band the RTT sits.
-    negative_run_ = 0;
-    rate_fps_ = clamp_rate(
-        rate_fps_ * (1.0 - config_.dg_beta * (1.0 - config_.dg_t_high_s / rtt)));
-  } else if (gradient_ <= 0.0) {
-    // Falling (or flat) RTT: additive increase, hyperactive after a run of
-    // consecutive falling samples (TIMELY's HAI mode).
-    ++negative_run_;
-    const double step = negative_run_ >= config_.dg_hai_after
-                            ? config_.dg_addstep_fps * config_.dg_hai_factor
-                            : config_.dg_addstep_fps;
-    rate_fps_ = clamp_rate(rate_fps_ + step);
-  } else {
-    // Rising RTT: multiplicative decrease weighted by the gradient — the
-    // queue is building and throughput has not collapsed yet, which is
-    // exactly the window the utilization-only law misses.
-    negative_run_ = 0;
-    rate_fps_ =
-        clamp_rate(rate_fps_ * (1.0 - config_.dg_beta * std::min(gradient_, 1.0)));
-  }
-  if (sample.achieved_fps > 0.0) {
-    // Tether the pacing rate to the drain rate: a long-poll/SSE session
-    // cannot push the path faster than the client drains it, so offering
-    // beyond achieved * headroom only builds queue. This is what keeps the
-    // offered/achieved ratio near 1 at *every* tier — the tier machinery
-    // then sees steady utilization instead of a collapse-and-flap cycle.
-    rate_fps_ = clamp_rate(
-        std::min(rate_fps_, sample.achieved_fps * config_.dg_headroom));
-  }
-  return 1.0 / rate_fps_;
-}
-
-double DelayGradientController::interval_s() const { return 1.0 / rate_fps_; }
-
-bool DelayGradientController::probe_ok() const {
-  // Probing up while delay still rises would re-create the flap the law
-  // exists to remove. Beyond the gradient, require the queue itself to be
-  // empty: RTT-above-min is TIMELY's queue-depth estimate, so a last RTT
-  // well above the path minimum means a standing queue an upgrade would
-  // only deepen — even if the gradient is momentarily flat.
-  if (gradient_ > 0.0) return false;
-  if (last_rtt_s_ < 0.0 || min_rtt_s_ < 0.0) return true;
-  const double empty_rtt = std::max(
-      config_.dg_t_low_s, min_rtt_s_ * config_.dg_probe_rtt_factor);
-  return last_rtt_s_ <= empty_rtt;
-}
-
-ControllerTelemetry DelayGradientController::telemetry() const {
-  ControllerTelemetry t;
-  t.last_rtt_s = last_rtt_s_;
-  t.gradient = gradient_;
-  return t;
-}
-
 // -------------------------------------------------------- trendline (GCC) --
 
-TrendlineController::TrendlineController(const ControllerConfig& config)
-    : config_(config) {
-  reset(0.2, 0.2, 2.0);
-}
+TrendlineController::TrendlineController() { reset(0.2, 0.2, 2.0); }
 
 void TrendlineController::reset(double initial_interval_s,
                                 double min_interval_s,
@@ -240,19 +112,17 @@ double TrendlineController::clamp_rate(double rate_fps) const {
 double TrendlineController::update(const CongestionSample& sample) {
   const double delay = delay_signal(sample);
   if (sample.loss) {
-    rate_fps_ = clamp_rate(rate_fps_ * config_.tl_beta);
+    rate_fps_ = clamp_rate(rate_fps_ * kBeta);
     return 1.0 / rate_fps_;
   }
   if (delay < 0.0) return 1.0 / rate_fps_;
   last_rtt_s_ = delay;
-  smoothed_delay_s_ = smoothed_delay_s_ < 0.0
-                          ? delay
-                          : config_.tl_smoothing * smoothed_delay_s_ +
-                                (1.0 - config_.tl_smoothing) * delay;
+  smoothed_delay_s_ =
+      smoothed_delay_s_ < 0.0
+          ? delay
+          : kSmoothing * smoothed_delay_s_ + (1.0 - kSmoothing) * delay;
   window_.emplace_back(sample.now_s, smoothed_delay_s_);
-  while (window_.size() > static_cast<std::size_t>(config_.tl_window)) {
-    window_.pop_front();
-  }
+  while (window_.size() > kWindow) window_.pop_front();
   if (window_.size() >= 3) {
     // Least-squares slope of smoothed delay over arrival time: positive
     // trend = the bottleneck queue is filling.
@@ -270,7 +140,7 @@ double TrendlineController::update(const CongestionSample& sample) {
     }
     slope_ = den > 0.0 ? num / den : 0.0;
   }
-  if (slope_ > config_.tl_slope_threshold) {
+  if (slope_ > kSlopeThreshold) {
     overusing_ = true;
     // GCC's decrease acts on the *incoming-rate estimate*, not the target:
     // beta times what the path actually delivered. Decreasing the target
@@ -278,26 +148,25 @@ double TrendlineController::update(const CongestionSample& sample) {
     // delay series stays noisy, regardless of real capacity.
     const double incoming =
         sample.achieved_fps > 0.0 ? sample.achieved_fps : rate_fps_;
-    rate_fps_ =
-        clamp_rate(std::min(rate_fps_, config_.tl_beta * incoming));
+    rate_fps_ = clamp_rate(std::min(rate_fps_, kBeta * incoming));
     // A decrease invalidates the trend it was computed from: rebuild the
     // regression window (and the fitted slope) before the next decrease so
     // one queue excursion costs one MD, not one per sample.
     window_.clear();
     slope_ = 0.0;
-  } else if (slope_ < -config_.tl_slope_threshold) {
+  } else if (slope_ < -kSlopeThreshold) {
     // Underuse: the queue is draining after an overuse episode. Hold and
     // let the drain finish.
     overusing_ = false;
   } else {
     overusing_ = false;
-    rate_fps_ = clamp_rate(rate_fps_ + config_.tl_addstep_fps);
+    rate_fps_ = clamp_rate(rate_fps_ + kAddStepFps);
   }
   if (sample.achieved_fps > 0.0) {
     // Cap the target relative to the incoming-rate estimate (GCC's
     // 1.5x-incoming ceiling): probing is allowed, runaway targets are not.
-    rate_fps_ = clamp_rate(
-        std::min(rate_fps_, sample.achieved_fps * config_.tl_headroom));
+    rate_fps_ =
+        clamp_rate(std::min(rate_fps_, sample.achieved_fps * kHeadroom));
   }
   return 1.0 / rate_fps_;
 }
@@ -314,10 +183,8 @@ ControllerTelemetry TrendlineController::telemetry() const {
 std::unique_ptr<CongestionController> make_controller(
     const ControllerConfig& config) {
   switch (config.kind) {
-    case ControllerKind::kDelayGradient:
-      return std::make_unique<DelayGradientController>(config);
     case ControllerKind::kTrendline:
-      return std::make_unique<TrendlineController>(config);
+      return std::make_unique<TrendlineController>();
     case ControllerKind::kRmsa:
       break;
   }

@@ -10,14 +10,11 @@
 // This interface abstracts the control law behind the per-session pacing in
 // web/session.hpp. One feedback sample per completed delivery carries the
 // rate signals (offered/achieved frame rate), the delay signals (RTT and
-// kernel-drain time), the body size, and a loss flag; the controller
-// proposes the next minimum inter-frame interval.
+// kernel-drain time) and a loss flag; the controller proposes the next
+// minimum inter-frame interval.
 //
 //  * RmsaPacingController — the paper's Eq. 1 in the frame-rate domain,
 //    bit-identical to the previously hard-wired RmsaController usage.
-//  * DelayGradientController — TIMELY-style RTT-gradient control: additive
-//    increase below T_low, multiplicative decrease above T_high or on a
-//    rising gradient, hyperactive increase after a run of falling RTTs.
 //  * TrendlineController — GCC-style least-squares slope of the smoothed
 //    delay series feeding an overuse detector driving AIMD.
 #pragma once
@@ -44,8 +41,6 @@ struct CongestionSample {
   /// Kernel-drain time of this body (enqueue to socket-buffer empty),
   /// seconds; < 0 when unknown.
   double drain_s = -1.0;
-  /// Body bytes written.
-  std::size_t bytes = 0;
   /// Delivery contract violated (drop, disconnect mid-write).
   bool loss = false;
 };
@@ -55,8 +50,8 @@ struct ControllerTelemetry {
   /// Most recent delay signal consumed (RTT or drain), seconds; < 0 when
   /// none has been seen yet.
   double last_rtt_s = -1.0;
-  /// Law-specific delay derivative: normalized RTT gradient (TIMELY) or
-  /// trendline slope in delay-seconds per second (GCC). 0 for RMSA.
+  /// Delay derivative: the trendline slope in delay-seconds per second.
+  /// 0 for RMSA.
   double gradient = 0.0;
 };
 
@@ -89,11 +84,11 @@ class CongestionController {
   virtual ControllerTelemetry telemetry() const { return {}; }
 };
 
-enum class ControllerKind { kRmsa, kDelayGradient, kTrendline };
+enum class ControllerKind { kRmsa, kTrendline };
 
 const char* controller_kind_name(ControllerKind kind);
-/// Parse a `controller=` knob value ("rmsa", "gradient"/"timely",
-/// "trendline"/"gcc"). Returns false on an unknown name.
+/// Parse a `controller=` knob value ("rmsa", "trendline"/"gcc"). Returns
+/// false on an unknown name.
 bool parse_controller_kind(const std::string& name, ControllerKind* out);
 
 struct ControllerConfig {
@@ -102,35 +97,6 @@ struct ControllerConfig {
   /// Robbins-Monro gain template (Eq. 1, frame-rate domain).
   double rmsa_gain_a = 1.0;
   double rmsa_alpha = 0.8;
-
-  /// Delay-gradient (TIMELY) law.
-  double dg_ewma_alpha = 0.3;    ///< RTT-diff EWMA weight.
-  double dg_t_low_s = 0.02;      ///< RTT below: additive increase always.
-  double dg_t_high_s = 0.25;     ///< RTT above: level-based MD.
-  double dg_beta = 0.8;          ///< multiplicative-decrease weight.
-  double dg_addstep_fps = 0.5;   ///< additive increase step, frames/s.
-  int dg_hai_after = 5;          ///< falling-RTT run length entering HAI.
-  int dg_hai_factor = 5;         ///< HAI multiplier on the additive step.
-  double dg_min_rtt_s = 1e-3;    ///< gradient normalization floor.
-  /// Offered-rate ceiling as a multiple of the achieved rate. TIMELY's
-  /// rate is an end-to-end pacing rate: offering far beyond what the path
-  /// demonstrably delivers only feeds the queue, so additive increase is
-  /// tethered to the measured drain rate plus this headroom.
-  double dg_headroom = 1.15;
-  /// Upward-probe gate: the queue counts as empty when the last RTT is
-  /// within this factor of the minimum RTT seen (TIMELY's RTT-above-min
-  /// is the queue-depth estimate).
-  double dg_probe_rtt_factor = 1.5;
-
-  /// Trendline (GCC-style) law.
-  int tl_window = 20;                ///< regression window, samples.
-  double tl_smoothing = 0.6;         ///< delay EWMA retention weight.
-  double tl_slope_threshold = 0.02;  ///< overuse slope, delay-s per second.
-  double tl_beta = 0.85;             ///< MD factor on overuse.
-  double tl_addstep_fps = 0.5;       ///< additive increase step, frames/s.
-  /// Offered-rate ceiling as a multiple of the achieved (incoming) rate —
-  /// GCC caps the target bitrate relative to the incoming-rate estimate.
-  double tl_headroom = 1.5;
 };
 
 /// The paper's Eq. 1 behind the pluggable interface. Wraps RmsaController
@@ -154,43 +120,11 @@ class RmsaPacingController final : public CongestionController {
   double last_rtt_s_ = -1.0;
 };
 
-/// TIMELY-style RTT-gradient controller over the session frame rate.
-class DelayGradientController final : public CongestionController {
- public:
-  explicit DelayGradientController(const ControllerConfig& config);
-
-  double update(const CongestionSample& sample) override;
-  void reset(double initial_interval_s, double min_interval_s,
-             double max_interval_s) override;
-  double interval_s() const override;
-  bool paces_all_tiers() const override { return true; }
-  bool probe_ok() const override;
-  std::string name() const override { return "gradient"; }
-  ControllerTelemetry telemetry() const override;
-
-  /// Normalized RTT gradient after the last sample (unit-free).
-  double gradient() const { return gradient_; }
-
- private:
-  double clamp_rate(double rate_fps) const;
-
-  ControllerConfig config_;
-  double min_interval_s_ = 1e-3;
-  double max_interval_s_ = 2.0;
-  double rate_fps_ = 1.0;
-  double prev_rtt_s_ = -1.0;
-  double last_rtt_s_ = -1.0;
-  double min_rtt_s_ = -1.0;
-  double rtt_diff_ewma_s_ = 0.0;
-  double gradient_ = 0.0;
-  int negative_run_ = 0;
-};
-
 /// GCC-style trendline estimator: least-squares slope of the smoothed
 /// delay series drives an overuse detector driving AIMD on the frame rate.
 class TrendlineController final : public CongestionController {
  public:
-  explicit TrendlineController(const ControllerConfig& config);
+  TrendlineController();
 
   double update(const CongestionSample& sample) override;
   void reset(double initial_interval_s, double min_interval_s,
@@ -204,10 +138,18 @@ class TrendlineController final : public CongestionController {
   /// Fitted delay slope after the last sample, delay-seconds per second.
   double slope() const { return slope_; }
 
+  static constexpr std::size_t kWindow = 20;       ///< regression samples.
+  static constexpr double kSmoothing = 0.6;        ///< delay EWMA retention.
+  static constexpr double kSlopeThreshold = 0.02;  ///< overuse, delay-s per s.
+  static constexpr double kBeta = 0.85;            ///< MD factor on overuse.
+  static constexpr double kAddStepFps = 0.5;       ///< additive step, frames/s.
+  /// Offered-rate ceiling as a multiple of the achieved (incoming) rate —
+  /// GCC caps the target bitrate relative to the incoming-rate estimate.
+  static constexpr double kHeadroom = 1.5;
+
  private:
   double clamp_rate(double rate_fps) const;
 
-  ControllerConfig config_;
   double min_interval_s_ = 1e-3;
   double max_interval_s_ = 2.0;
   double rate_fps_ = 1.0;

@@ -91,7 +91,7 @@ struct FrontEndConfig {
   /// Per-client adaptive pacing knobs (frame_interval_s is overridden with
   /// the front end's own cadence at construction). `pacing.controller`
   /// selects the per-session congestion-control law — the paper's
-  /// Robbins-Monro Eq. 1 by default, or a delay-gradient/trendline law
+  /// Robbins-Monro Eq. 1 by default, or the delay-based trendline law
   /// steering on measured per-delivery RTT
   /// (transport/congestion_controller.hpp).
   PacingConfig pacing;

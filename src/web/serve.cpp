@@ -165,6 +165,10 @@ struct FrameServer::Query {
   std::string view;
   std::shared_ptr<ClientSession> session;
   std::uint64_t since = 0;
+  /// Where the next wait parks: `since`, advanced past frames that could
+  /// not answer the client. Body selection and skip accounting stay
+  /// anchored on `since`, the last frame the client actually received.
+  std::uint64_t cursor = 0;
   double timeout_s = 0.0;
   bool want_delta = false;  // delta=1
   /// full=1, the client's resync escape hatch: a browser whose canvas
@@ -173,11 +177,9 @@ struct FrameServer::Query {
   bool full = false;
 };
 
-/// One long-poll in flight. `cursor` is where the poll parks: the client's
-/// `since`, advanced past frames that could not answer it.
+/// One long-poll in flight.
 struct FrameServer::Poll : Query {
   HttpServer::ResponseSink sink;
-  std::uint64_t cursor = 0;
   ClientSession::Decision decision;
   double cadence = 0.0;
   Clock::time_point deadline;
@@ -216,6 +218,7 @@ std::string FrameServer::parse(const HttpRequest& request, Query& q) {
   if (!parse_since(request.query_param("since", "0"), q.since)) {
     return "since must be a non-negative integer";
   }
+  q.cursor = q.since;
   q.timeout_s = poll_timeout_s_;
   const std::string timeout_raw = request.query_param("timeout");
   if (!timeout_raw.empty() &&
@@ -249,7 +252,6 @@ void FrameServer::poll(const HttpRequest& request,
     sink(p->hub ? HttpResponse::bad_request(error) : HttpResponse::not_found());
     return;
   }
-  p->cursor = p->since;
   p->cadence = hooks_.cadence_s();
   p->session = session_for(request);
   p->decision = decide(p->session.get(), p->view, p->cadence);
@@ -347,7 +349,7 @@ void FrameServer::pump(const std::shared_ptr<Stream>& s) {
       decide(s->session.get(), s->view, cadence);
   FrameHub::WaitOptions options = wait_options(decision);
   options.timeout_s = s->timeout_s;
-  s->hub->wait_async(s->since, options, [this, s, decision,
+  s->hub->wait_async(s->cursor, options, [this, s, decision,
                                          cadence](FramePtr frame) {
     if (!frame) {
       if (s->hub->is_shutdown()) {
@@ -370,15 +372,16 @@ void FrameServer::pump(const std::shared_ptr<Stream>& s) {
                     tier, decision.allow_delta);
     if (body->empty()) {
       // Delta-only frame under a full requirement: skip it, escalate a
-      // resync, and keep waiting for the snapshot.
+      // resync, and keep waiting for the snapshot — parked past this frame,
+      // but with the client's own cursor kept for the next body.
       if (hooks_.request_resync) hooks_.request_resync(s->view);
-      s->since = frame->seq;
+      s->cursor = frame->seq;
       pump(s);
       return;
     }
     s->full = false;
     const std::uint64_t skipped = skipped_between(s->since, frame->seq);
-    s->since = frame->seq;
+    s->since = s->cursor = frame->seq;
     // The event is a chain, not a concatenation: tiny copied framing lines
     // bracket the shared body buffer (compact JSON: never carries a raw
     // newline), which rides to the socket without being copied per client.

@@ -61,8 +61,8 @@ void ClientSession::reset_meters_locked(double now_s) {
 void ClientSession::reset_controller_locked(double initial_interval_s) {
   // Restarting the control law whenever conditions changed (new tier,
   // upward probe) is part of every law's contract: for Robbins-Monro it
-  // restarts the decaying gain schedule, for the delay laws it discards
-  // gradient/trendline state measured under the old regime.
+  // restarts the decaying gain schedule, for the trendline law it discards
+  // the delay trend measured under the old regime.
   if (!controller_) controller_ = transport::make_controller(config_.controller);
   controller_->reset(
       initial_interval_s, config_.frame_interval_s,
@@ -180,8 +180,8 @@ void ClientSession::on_delivered(double now_s, std::size_t bytes,
   // frame rate and the reference it must converge to is the client's
   // achieved frame rate — offering more than the client drains lengthens
   // the sleep, offering less shortens it, and the fixed point is offered ==
-  // achieved (serve at the client's pace). The delay laws steer on the
-  // per-delivery RTT instead and react to queue growth before utilization
+  // achieved (serve at the client's pace). The delay law steers on the
+  // per-delivery RTT instead and reacts to queue growth before utilization
   // collapses.
   transport::CongestionSample sample;
   sample.now_s = now_s;
@@ -189,7 +189,6 @@ void ClientSession::on_delivered(double now_s, std::size_t bytes,
   sample.achieved_fps = achieved_fps;
   sample.rtt_s = rtt_s;
   sample.drain_s = drain_s;
-  sample.bytes = bytes;
   const double proposed = controller_->update(sample);
   const bool paces_all = controller_->paces_all_tiers();
   if (paces_all) {
@@ -212,9 +211,9 @@ void ClientSession::on_delivered(double now_s, std::size_t bytes,
     }
     if (prompt_streak_ >= config_.upgrade_streak * probe_backoff_ &&
         controller_->probe_ok()) {
-      // Delay laws veto the probe while the network still shows rising
+      // A delay law vetoes the probe while the network still shows rising
       // delay; prompt samples keep accruing and the probe fires the moment
-      // the gradient clears.
+      // the trend clears.
       prompt_streak_ = 0;
       // The client drains everything offered: probe upward. Restore the
       // frame rate first, then climb a quality tier.

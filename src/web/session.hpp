@@ -5,7 +5,7 @@
 // carrying a `client` identifier gets a session that feeds delivery
 // timestamps and body sizes into a transport::GoodputMeter and runs a
 // per-session congestion controller (transport::CongestionController — the
-// paper's Robbins-Monro Eq. 1 by default, or a delay-gradient/trendline law
+// paper's Robbins-Monro Eq. 1 by default, or the delay-based trendline law
 // steering on measured per-delivery RTT). The session maps the measured
 // goodput to
 //

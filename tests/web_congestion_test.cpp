@@ -2,11 +2,6 @@
 //  * RMSA parity — RmsaPacingController behind the CongestionController
 //    interface reproduces the raw RmsaController's sleep sequence
 //    sample-for-sample (the refactor seam must be bit-identical)
-//  * DelayGradientController on synthetic RTT series: additive increase
-//    below T_low, gradient-weighted MD on a ramp, level MD above T_high,
-//    HAI after a falling run, the achieved-rate tether, loss handling,
-//    and the queue-empty probe gate (including min-RTT survival across
-//    reset, which tier changes rely on)
 //  * TrendlineController on synthetic delay series: overuse MD against
 //    the incoming-rate estimate, one MD per excursion, hold on drain,
 //    additive increase with the incoming-rate ceiling
@@ -130,140 +125,16 @@ TEST(RmsaParity, LegacyPlacementFlagsMatchTheHardWiredBehavior) {
   EXPECT_EQ(rmsa.name(), "rmsa");
 }
 
-// --------------------------------------------------- delay gradient (TIMELY)
-
-t::DelayGradientController gradient_controller(t::ControllerConfig config =
-                                                   t::ControllerConfig{}) {
-  config.kind = t::ControllerKind::kDelayGradient;
-  t::DelayGradientController c(config);
-  c.reset(kCadence, kCadence, kMaxInterval);
-  return c;
-}
-
-TEST(DelayGradient, LowRttRampsAdditively) {
-  auto c = gradient_controller();
-  // RTT pinned under T_low: AI every sample regardless of gradient sign.
-  // Start from a stretched interval so there is room to ramp.
-  c.reset(0.5, kCadence, kMaxInterval);
-  c.update(sample(0.0, 2.0, 50.0, 0.01));  // prime prev_rtt
-  double prev_rate = 1.0 / c.interval_s();
-  for (int i = 1; i <= 6; ++i) {
-    c.update(sample(i * kCadence, 2.0, 50.0, 0.01));
-    const double rate = 1.0 / c.interval_s();
-    EXPECT_NEAR(rate, prev_rate + 0.5, 1e-9);
-    prev_rate = rate;
-  }
-}
-
-TEST(DelayGradient, RisingRttRampTriggersGradientWeightedDecrease) {
-  auto c = gradient_controller();
-  // Ramp inside the guard band (T_low .. T_high): only the gradient can
-  // see it. Achieved stays high so the tether never binds.
-  double rtt = 0.05;
-  c.update(sample(0.0, 20.0, 50.0, rtt));  // prime prev_rtt
-  double prev_rate = 1.0 / c.interval_s();
-  for (int i = 1; i <= 8; ++i) {
-    rtt += 0.015;
-    c.update(sample(i * kCadence, 20.0, 50.0, rtt));
-  }
-  EXPECT_GT(c.gradient(), 0.0);
-  EXPECT_LT(1.0 / c.interval_s(), prev_rate);
-  EXPECT_FALSE(c.probe_ok());
-}
-
-TEST(DelayGradient, RttAboveHighBandDecreasesEvenWhileFalling) {
-  auto c = gradient_controller();
-  // Falling series, but the level sits above T_high: the level emergency
-  // must win over the falling gradient.
-  c.update(sample(0.0, 20.0, 50.0, 0.6));
-  const double before = 1.0 / c.interval_s();
-  c.update(sample(kCadence, 20.0, 50.0, 0.5));
-  EXPECT_LT(1.0 / c.interval_s(), before);
-}
-
-TEST(DelayGradient, HyperactiveIncreaseAfterFallingRun) {
-  t::ControllerConfig config;
-  auto c = gradient_controller(config);
-  c.reset(0.5, kCadence, kMaxInterval);
-  // A long falling run inside the band: the first dg_hai_after samples use
-  // the plain step, afterwards the HAI-multiplied step.
-  double rtt = 0.2;
-  c.update(sample(0.0, 2.0, 50.0, rtt));  // prime
-  std::vector<double> steps;
-  double prev_rate = 1.0 / c.interval_s();
-  for (int i = 1; i <= config.dg_hai_after + 2; ++i) {
-    rtt -= 0.005;
-    c.update(sample(i * kCadence, 2.0, 50.0, rtt));
-    const double rate = 1.0 / c.interval_s();
-    steps.push_back(rate - prev_rate);
-    prev_rate = rate;
-  }
-  EXPECT_NEAR(steps.front(), config.dg_addstep_fps, 1e-9);
-  EXPECT_NEAR(steps.back(), config.dg_addstep_fps * config.dg_hai_factor,
-              1e-9);
-}
-
-TEST(DelayGradient, RateIsTetheredToTheAchievedRate) {
-  t::ControllerConfig config;
-  auto c = gradient_controller(config);
-  // Flat low RTT wants AI back to the cadence rate, but the client only
-  // drains 4 fps: the rate must stop at achieved * headroom.
-  for (int i = 0; i < 200; ++i) {
-    c.update(sample(i * kCadence, 20.0, 4.0, 0.01));
-  }
-  EXPECT_NEAR(1.0 / c.interval_s(), 4.0 * config.dg_headroom, 1e-9);
-}
-
-TEST(DelayGradient, LossIsAFullWeightDecrease) {
-  auto c = gradient_controller();
-  const double before = 1.0 / c.interval_s();
-  c.update(sample(0.0, 20.0, 50.0, 0.05, /*loss=*/true));
-  EXPECT_LT(1.0 / c.interval_s(), before);
-}
-
-TEST(DelayGradient, ProbeGateRequiresAnEmptyQueue) {
-  t::ControllerConfig config;
-  auto c = gradient_controller(config);
-  // Learn the path minimum, then hold a flat elevated RTT: the gradient is
-  // ~0 (flat) but the standing queue keeps last_rtt far above min — the
-  // probe must stay vetoed until the RTT returns to the minimum.
-  c.update(sample(0.0, 20.0, 50.0, 0.06));
-  for (int i = 1; i <= 20; ++i) {
-    c.update(sample(i * kCadence, 20.0, 50.0, 0.15));
-  }
-  EXPECT_FALSE(c.probe_ok());
-  for (int i = 21; i <= 40; ++i) {
-    c.update(sample(i * kCadence, 20.0, 50.0, 0.06));
-  }
-  EXPECT_TRUE(c.probe_ok());
-}
-
-TEST(DelayGradient, MinRttSurvivesResetSoTheProbeGateStaysArmed) {
-  auto c = gradient_controller();
-  c.update(sample(0.0, 20.0, 50.0, 0.06));  // path minimum learned
-  c.reset(kCadence, kCadence, kMaxInterval);  // tier change
-  // Post-reset samples arrive at a congested level. If reset had dropped
-  // the learned minimum, 0.15 would *become* the minimum and the queue
-  // would look empty.
-  for (int i = 0; i < 10; ++i) {
-    c.update(sample(1.0 + i * kCadence, 20.0, 50.0, 0.15));
-  }
-  EXPECT_FALSE(c.probe_ok());
-}
-
 // ------------------------------------------------------------ trendline (GCC)
 
-t::TrendlineController trendline_controller(t::ControllerConfig config =
-                                                t::ControllerConfig{}) {
-  config.kind = t::ControllerKind::kTrendline;
-  t::TrendlineController c(config);
+t::TrendlineController trendline_controller() {
+  t::TrendlineController c;
   c.reset(kCadence, kCadence, kMaxInterval);
   return c;
 }
 
 TEST(Trendline, RampTriggersOveruseAgainstTheIncomingRate) {
-  t::ControllerConfig config;
-  auto c = trendline_controller(config);
+  auto c = trendline_controller();
   double delay = 0.05;
   int i = 0;
   while (c.probe_ok() && i < 50) {
@@ -274,12 +145,11 @@ TEST(Trendline, RampTriggersOveruseAgainstTheIncomingRate) {
   // The decrease invalidated the fitted trend along with the window.
   EXPECT_DOUBLE_EQ(c.slope(), 0.0);
   // The decrease lands at beta * incoming (8 fps), not beta * target.
-  EXPECT_NEAR(1.0 / c.interval_s(), config.tl_beta * 8.0, 1e-9);
+  EXPECT_NEAR(1.0 / c.interval_s(), t::TrendlineController::kBeta * 8.0, 1e-9);
 }
 
 TEST(Trendline, OneExcursionCostsOneDecrease) {
-  t::ControllerConfig config;
-  auto c = trendline_controller(config);
+  auto c = trendline_controller();
   double delay = 0.05;
   int i = 0;
   while (c.probe_ok() && i < 50) {
@@ -314,14 +184,14 @@ TEST(Trendline, DrainingQueueHoldsTheRate) {
 }
 
 TEST(Trendline, FlatDelayRampsAdditivelyUnderTheIncomingCeiling) {
-  t::ControllerConfig config;
-  auto c = trendline_controller(config);
+  auto c = trendline_controller();
   c.reset(0.5, kCadence, kMaxInterval);
   // Flat delay = AI every sample, but never past achieved * headroom.
   for (int i = 0; i < 200; ++i) {
     c.update(sample(i * kCadence, 2.0, 6.0, 0.08));
   }
-  EXPECT_NEAR(1.0 / c.interval_s(), 6.0 * config.tl_headroom, 1e-9);
+  EXPECT_NEAR(1.0 / c.interval_s(), 6.0 * t::TrendlineController::kHeadroom,
+              1e-9);
 }
 
 // ------------------------------------------------------ knob parsing & ids
@@ -330,18 +200,17 @@ TEST(ControllerKnob, ParsesEveryAliasAndRejectsUnknown) {
   t::ControllerKind kind;
   EXPECT_TRUE(t::parse_controller_kind("rmsa", &kind));
   EXPECT_EQ(kind, t::ControllerKind::kRmsa);
-  EXPECT_TRUE(t::parse_controller_kind("gradient", &kind));
-  EXPECT_EQ(kind, t::ControllerKind::kDelayGradient);
-  EXPECT_TRUE(t::parse_controller_kind("timely", &kind));
-  EXPECT_EQ(kind, t::ControllerKind::kDelayGradient);
   EXPECT_TRUE(t::parse_controller_kind("trendline", &kind));
   EXPECT_EQ(kind, t::ControllerKind::kTrendline);
   EXPECT_TRUE(t::parse_controller_kind("gcc", &kind));
   EXPECT_EQ(kind, t::ControllerKind::kTrendline);
+  EXPECT_STREQ(t::controller_kind_name(t::ControllerKind::kTrendline),
+               "trendline");
+  EXPECT_FALSE(t::parse_controller_kind("gradient", &kind));
+  EXPECT_FALSE(t::parse_controller_kind("timely", &kind));
+  EXPECT_FALSE(t::parse_controller_kind("delay-gradient", &kind));
   EXPECT_FALSE(t::parse_controller_kind("vegas", &kind));
   EXPECT_FALSE(t::parse_controller_kind("", &kind));
-  EXPECT_STREQ(t::controller_kind_name(t::ControllerKind::kDelayGradient),
-               "gradient");
 }
 
 TEST(ClientId, SanitizerAcceptsTokenCharactersOnly) {

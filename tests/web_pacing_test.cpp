@@ -1,6 +1,8 @@
 // Per-client adaptive pacing and long-poll robustness tests:
 //  * ClientSession tier assignment, downgrade, upgrade-probe recovery, and
-//    SessionTable idle expiry (the tier pipeline's control law, no sockets)
+//    SessionTable idle expiry (the tier pipeline's control law, no sockets),
+//    including the two branches only the trendline delay law takes: pacing
+//    at every tier and the upward-probe veto
 //  * /api/poll parameter sanitization — NaN / negative / malformed timeout
 //    values must produce 400 or a clean 200-timeout, never reach the hub's
 //    deadline arithmetic
@@ -25,6 +27,7 @@
 
 #include "relay/relay.hpp"
 #include "time_scale.hpp"
+#include "transport/congestion_controller.hpp"
 #include "util/json.hpp"
 #include "web/frontend.hpp"
 #include "web/http.hpp"
@@ -33,6 +36,7 @@
 
 namespace w = ricsa::web;
 namespace r = ricsa::relay;
+namespace t = ricsa::transport;
 using ricsa::util::Json;
 
 namespace {
@@ -124,6 +128,51 @@ TEST(ClientSession, ControllerGainTunesTheThrottledInterval) {
   EXPECT_GT(low_gain, 0.05 * 1.25);  // throttled at all
   EXPECT_GT(std::abs(low_gain - default_gain), 0.01)
       << "default " << default_gain << " vs gain 0.3: " << low_gain;
+}
+
+TEST(ClientSession, DelayLawPacesTheFullTierOnRisingDelay) {
+  // A client that drains everything offered while its per-delivery RTT
+  // keeps climbing: a standing queue is building. The trendline law paces
+  // every tier, so the interval stretches while the full tier holds (the
+  // paper's law stretches it only on the cheapest tier).
+  w::PacingConfig config = pacing_config();
+  config.controller.kind = t::ControllerKind::kTrendline;
+  w::ClientSession s(config, "queue", "", 0.0);
+  double t = 0.0;
+  for (int i = 1; i <= 30; ++i) {
+    t += std::max(0.05, s.interval_s());
+    s.on_delivered(t, kSizes[0], 0, s.tier(), 0.05, "", 0.05 + 0.01 * i);
+  }
+  EXPECT_EQ(s.tier(), w::Tier::kFull);
+  EXPECT_GT(s.interval_s(), 0.05 * 1.25);
+  EXPECT_GT(s.decide(t, 0.05).not_before_s, t);
+}
+
+TEST(ClientSession, DelayLawVetoesUpgradeProbesWhileDelayRises) {
+  // A session knocked down to the half tier drains promptly for one
+  // upgrade streak. Under flat delay the streak's last sample probes back
+  // up. Under rising delay that sample is where the trendline law detects
+  // overuse, so the probe waits until the delay stops rising.
+  w::PacingConfig config = pacing_config();  // upgrade 3
+  config.controller.kind = t::ControllerKind::kTrendline;
+  // The law caps its rate at 1.5x the achieved rate, so only the first
+  // slow sample falls below the downgrade threshold.
+  config.downgrade_streak = 1;
+  for (const double rise : {0.0, 0.1}) {
+    w::ClientSession s(config, "probe", "", 0.0);
+    double t = 0.2;
+    double rtt = 0.05;
+    s.on_delivered(t, kSizes[0], 0, s.tier(), 0.05, "", rtt);
+    ASSERT_EQ(s.tier(), w::Tier::kHalf);
+    for (int i = 0; i < config.upgrade_streak; ++i) {
+      t += 0.05;
+      rtt += rise;
+      s.on_delivered(t, kSizes[1], 0, s.tier(), 0.05, "", rtt);
+    }
+    EXPECT_EQ(s.tier(), rise > 0.0 ? w::Tier::kHalf : w::Tier::kFull);
+    s.on_delivered(t + 0.05, kSizes[1], 0, s.tier(), 0.05, "", rtt);
+    EXPECT_EQ(s.tier(), w::Tier::kFull);
+  }
 }
 
 TEST(ClientSession, TierTransitionSuspendsDeltaUntilAFullBodyIsServed) {

@@ -13,8 +13,9 @@
 //  * end-to-end SSE beside long-poll: gap-free strictly-increasing frame
 //    streams for both transports off the same hub shard while steering
 //    POSTs land, slow-consumer tier downgrade over SSE, stale-cursor and
-//    full=1 resync, keepalive comments, and clean stream end on registry
-//    shutdown.
+//    full=1 resync, a paced relay stream skipping a delta-only frame without
+//    taking it as received, keepalive comments, and clean stream end on
+//    registry shutdown.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -31,11 +32,14 @@
 
 #include "time_scale.hpp"
 
+#include "net/socket.hpp"
 #include "relay/relay.hpp"
 #include "util/json.hpp"
 #include "web/frontend.hpp"
 #include "web/http.hpp"
 #include "web/hub.hpp"
+#include "web/registry.hpp"
+#include "web/session.hpp"
 
 namespace w = ricsa::web;
 namespace r = ricsa::relay;
@@ -669,6 +673,73 @@ TEST(SseStream, StaleCursorAndFullParamResyncWithFullFrame) {
     EXPECT_TRUE(second.at("delta").as_bool());
   }
   fe.stop();
+}
+
+TEST(SseStream, RelaySkipKeepsTheClientsDeltaBase) {
+  // A relay holds most frames only as sequential deltas. A paced stream
+  // client that skips to one must wait for a snapshot without counting the
+  // skipped frame as received, or the next delta patches a frame the
+  // client never saw. With a closed upstream port every frame in the
+  // relay's hub is the test's own, so the interleaving is exact.
+  r::RelayNodeConfig config;
+  config.subscriber.upstream_port =
+      ricsa::net::Socket::listen_loopback(0).local_port();
+  config.subscriber.views = {"main"};
+  r::RelayNode relay(config);
+  relay.start();
+  const auto hub = relay.registry().find("main");
+  const auto publish = [&](bool full) {
+    const std::string seq = std::to_string(hub->seq() + 1);
+    w::FrameHub::PreEncoded pre;
+    (full ? pre.full_body : pre.delta_body) =
+        "{\"base_seq\":" + std::to_string(hub->seq()) + ",\"delta\":" +
+        (full ? "false" : "true") + ",\"seq\":" + seq + "}";
+    hub->publish_encoded(std::move(pre));
+  };
+  const auto wait_parked = [&] {
+    for (int i = 0; i < 2500 && hub->stats().waiting == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    ASSERT_EQ(hub->stats().waiting, 1u);
+  };
+  // Slow deliveries on another view stage the session on the half tier,
+  // where every wait skips to the newest frame.
+  const double now = w::mono_now_s();
+  const auto session =
+      relay.registry().sessions().acquire("skipper", "", now - 30.0);
+  for (int i = 0; i < 2; ++i) {
+    session->on_delivered(now - 28.0 + 2.0 * i, 1000, 0, w::Tier::kFull,
+                          config.pacing.frame_interval_s, "staging");
+  }
+  ASSERT_EQ(session->tier(), w::Tier::kHalf);
+
+  publish(true);
+  for (int i = 2; i <= 5; ++i) publish(false);
+  // Joined at 2, the stream skips to delta-only 5; 6 is a delta on 5.
+  SseClient c;
+  ASSERT_TRUE(c.open(relay.port(),
+                     "/api/stream?since=2&delta=1&client=skipper&timeout=1"));
+  for (const bool full : {false, true, false}) {
+    wait_parked();
+    publish(full);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + ricsa_test::scaled_ms(3000);
+  while (c.sse.events.size() < 2 &&
+         std::chrono::steady_clock::now() < deadline && c.pump()) {
+  }
+  std::uint64_t last_id = 2;
+  for (const auto& event : c.sse.events) {
+    const Json body = Json::parse(event.data);
+    if (body.at("delta").as_bool()) {
+      EXPECT_EQ(body.at("base_seq").as_number(), last_id) << event.data;
+    }
+    last_id = event.id;
+  }
+  ASSERT_EQ(c.sse.events.size(), 2u);
+  EXPECT_EQ(c.sse.events[0].id, 7u);
+  EXPECT_EQ(c.sse.events[1].id, 8u);
+  relay.stop();
 }
 
 TEST(SseStream, KeepaliveCommentsFlowDuringQuietPeriods) {
