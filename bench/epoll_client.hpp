@@ -16,9 +16,7 @@
 
 #include <sys/epoll.h>
 
-#include <algorithm>
 #include <array>
-#include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -30,6 +28,7 @@
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
 #include "util/json.hpp"
+#include "web/http.hpp"
 
 namespace benchweb {
 
@@ -194,9 +193,10 @@ class EpollClientFleet {
  private:
   /// Connection state machine: kConnect (await writability, check
   /// SO_ERROR) -> join at the live head (GET /api/state) -> long-poll loop
-  /// (kRequest: flush the request; kResponse: accumulate until
-  /// Content-Length bytes of body arrived; kDelay: think-time timer for
-  /// slow consumers) -> kDone. Errors reconnect with the cursor preserved.
+  /// (kRequest: flush the request; kResponse: feed the ResponseDecoder
+  /// until the body, or the stream's events, arrive; kDelay: think-time
+  /// timer for slow consumers) -> kDone. Errors reconnect with the cursor
+  /// preserved.
   class Conn : public ricsa::net::EventHandler {
    public:
     Conn(ricsa::net::Reactor& reactor, int port, const ClientSpec& spec,
@@ -208,6 +208,7 @@ class EpollClientFleet {
     ~Conn() override { deregister(); }
 
     void start() {
+      decoder_.reset();
       sock_ = ricsa::net::Socket::connect_loopback(port_);
       if (!sock_.valid()) {
         ++out_.errors;
@@ -286,7 +287,6 @@ class EpollClientFleet {
     }
 
     void queue_request() {
-      inbuf_.clear();
       streaming_ = false;
       if (!joined_) {
         outbuf_ = "GET /api/state" +
@@ -306,8 +306,6 @@ class EpollClientFleet {
           outbuf_ =
               "GET /api/stream?" + query + " HTTP/1.1\r\nHost: bench\r\n\r\n";
           streaming_ = true;
-          stream_headers_done_ = false;
-          event_buf_.clear();
           ++out_.polls;
         } else {
           outbuf_ =
@@ -340,24 +338,21 @@ class EpollClientFleet {
 
     void drain() {
       for (;;) {
-        const std::size_t before = inbuf_.size();
+        inbuf_.clear();
         const ricsa::net::IoStatus status = sock_.read_some(inbuf_);
         if (status == ricsa::net::IoStatus::kWouldBlock) break;
         if (status != ricsa::net::IoStatus::kOk) {
           reconnect();
           return;
         }
-        out_.wire_bytes += inbuf_.size() - before;
-        if (streaming_) {
-          if (!consume_stream()) return;  // connection torn down
-          if (spec_.inter_poll_delay_s > 0.0) {
-            // Slow SSE consumer: the think time becomes a read pause, so
-            // unread events back up in the socket — the TCP backpressure a
-            // real saturated browser applies to the push channel.
-            pause_stream_reads();
-            return;
-          }
-        } else if (try_complete_response()) {
+        out_.wire_bytes += inbuf_.size();
+        decoder_.feed(inbuf_);
+        if (!consume()) return;  // answered, torn down, or moved on
+        if (streaming_ && spec_.inter_poll_delay_s > 0.0) {
+          // Slow SSE consumer: the think time becomes a read pause, so
+          // unread events back up in the socket — the TCP backpressure a
+          // real saturated browser applies to the push channel.
+          pause_stream_reads();
           return;
         }
       }
@@ -375,123 +370,62 @@ class EpollClientFleet {
       });
     }
 
-    /// Consume whatever fraction of the SSE stream has arrived: response
-    /// head once, then chunked-transfer envelopes, then blank-line-split
-    /// events. Returns false when the connection was torn down.
-    bool consume_stream() {
-      if (!stream_headers_done_) {
-        const std::size_t header_end = inbuf_.find("\r\n\r\n");
-        if (header_end == std::string::npos) return true;
-        int status = 0;
-        std::size_t ignored = std::string::npos;
-        parse_head(inbuf_.substr(0, header_end), &status, &ignored);
-        inbuf_.erase(0, header_end + 4);
-        if (status != 200) {
-          ++out_.errors;
-          if (status == 503) {
-            ++out_.errors_503;
+    /// Act on every decoded item: a poll or join response, or the head,
+    /// events and end of an SSE stream. Returns false once the connection
+    /// moved on (a poll answered: next request, delay timer, or reconnect).
+    bool consume() {
+      using Item = ricsa::web::ResponseDecoder::Item;
+      for (Item item; (item = decoder_.next()) != Item::kNeedMore;) {
+        const ricsa::web::ResponseDecoder::Head& head = decoder_.head();
+        if (item == Item::kBody) {
+          if (joined_) {
+            handle_poll(head.status, decoder_.body());
           } else {
-            ++out_.errors_http;
+            handle_join(head.status, decoder_.body());
           }
+          return false;
+        }
+        if (item == Item::kEvent) {
+          handle_event(decoder_.event());
+          continue;
+        }
+        if (item == Item::kHead && streaming_ && head.status != 200) {
+          ++out_.errors;
+          ++(head.status == 503 ? out_.errors_503 : out_.errors_http);
           reconnect();
           return false;
         }
-        stream_headers_done_ = true;
-      }
-      for (;;) {
-        const std::size_t line_end = inbuf_.find("\r\n");
-        if (line_end == std::string::npos) break;
-        char* end = nullptr;
-        const unsigned long long size =
-            std::strtoull(inbuf_.c_str(), &end, 16);
-        if (end == inbuf_.c_str() || end > inbuf_.c_str() + line_end) {
+        // The server frames a poll with Content-Length and a stream with
+        // chunks; anything else is a protocol break. kEnd: the server ended
+        // the stream (shutdown or a reaped shard), so resubscribe from the
+        // preserved cursor.
+        if (item == Item::kHead &&
+            (streaming_ ? head.chunked : head.has_content_length)) {
+          continue;
+        }
+        if (item != Item::kEnd) {
           ++out_.errors;
           ++out_.errors_parse;
-          reconnect();
-          return false;
         }
-        if (inbuf_.size() < line_end + 2 + size + 2) break;
-        if (size == 0) {
-          // Terminal chunk: the server ended the stream (shutdown or
-          // reaped shard). Resubscribe from the preserved cursor.
-          reconnect();
-          return false;
-        }
-        event_buf_.append(inbuf_, line_end + 2, size);
-        inbuf_.erase(0, line_end + 2 + size + 2);
-      }
-      std::size_t pos;
-      while ((pos = event_buf_.find("\n\n")) != std::string::npos) {
-        const std::string block = event_buf_.substr(0, pos);
-        event_buf_.erase(0, pos + 2);
-        handle_event(block);
+        reconnect();
+        return false;
       }
       return true;
     }
 
-    void handle_event(const std::string& block) {
-      if (!block.empty() && block[0] == ':') {
+    void handle_event(const ricsa::web::ResponseDecoder::Event& event) {
+      if (event.keepalive) {
         // Keepalive comment: the push channel's "no frame yet", counted
         // where a long-poll's empty 200 would land.
         ++out_.timeouts;
         return;
       }
-      const std::size_t data_pos = block.find("data: ");
-      if (data_pos == std::string::npos) {
+      if (!event.has_data) {
         ++out_.errors;
         ++out_.errors_parse;
         return;
       }
-      const std::size_t data_end = block.find('\n', data_pos);
-      account_frame(block.substr(data_pos + 6,
-                                 data_end == std::string::npos
-                                     ? std::string::npos
-                                     : data_end - data_pos - 6),
-                    bench_now_unix_ms());
-    }
-
-    /// True when a full response was consumed and the connection moved on
-    /// (next request, delay timer, or reconnect).
-    bool try_complete_response() {
-      const std::size_t header_end = inbuf_.find("\r\n\r\n");
-      if (header_end == std::string::npos) return false;
-      int status = 0;
-      std::size_t content_length = std::string::npos;
-      parse_head(inbuf_.substr(0, header_end), &status, &content_length);
-      if (content_length == std::string::npos) {
-        // The server always sends Content-Length; anything else is a
-        // protocol break — drop the connection.
-        ++out_.errors;
-        ++out_.errors_parse;
-        reconnect();
-        return true;
-      }
-      const std::size_t body_begin = header_end + 4;
-      if (inbuf_.size() < body_begin + content_length) return false;
-      const std::string body = inbuf_.substr(body_begin, content_length);
-      inbuf_.erase(0, body_begin + content_length);
-      if (!joined_) {
-        handle_join(status, body);
-      } else {
-        handle_poll(status, body);
-      }
-      return true;
-    }
-
-    static void parse_head(const std::string& head, int* status,
-                           std::size_t* content_length) {
-      if (head.size() > 12 && head.compare(0, 5, "HTTP/") == 0) {
-        *status = std::atoi(head.c_str() + 9);
-      }
-      // Lower-case scan for the one header the state machine needs.
-      std::string lower(head);
-      std::transform(lower.begin(), lower.end(), lower.begin(),
-                     [](unsigned char c) { return std::tolower(c); });
-      const std::size_t pos = lower.find("content-length:");
-      if (pos != std::string::npos) {
-        *content_length = static_cast<std::size_t>(
-            std::atoll(lower.c_str() + pos + 15));
-      }
+      account_frame(event.data, bench_now_unix_ms());
     }
 
     void handle_join(int status, const std::string& body) {
@@ -607,12 +541,11 @@ class EpollClientFleet {
     Phase phase_ = Phase::kDone;
     bool joined_ = false;
     bool streaming_ = false;
-    bool stream_headers_done_ = false;
-    std::string event_buf_;  // de-chunked SSE payload awaiting "\n\n"
     std::uint64_t since_ = 0;
     std::string outbuf_;
     std::size_t outpos_ = 0;
-    std::string inbuf_;
+    std::string inbuf_;  // bytes of one read, handed to the decoder
+    ricsa::web::ResponseDecoder decoder_;
     double t0_ms_ = 0.0;
     std::uint64_t timer_ = 0;
   };

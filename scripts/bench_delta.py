@@ -49,6 +49,9 @@ MIN_PREV_BYTES = 1024.0
 # Congestion A/B gate: the trendline controller may cost at most this
 # fraction of fast-client p99 relative to RMSA in the same run.
 CONGESTION_P99_TOLERANCE = 0.10
+# Every key the congestion gate reads; a comparison without one fails.
+CONGESTION_KEYS = ("tier_flaps_rmsa", "tier_flaps_trendline",
+                   "fast_p99_ms_rmsa", "fast_p99_ms_trendline")
 # Compression gate: the tile-delta scenario's encoder must keep at least
 # this raw-bytes-in / png-bytes-out ratio. The orbiting-isosurface frames
 # compress far better than this in practice; the floor catches the encoder
@@ -243,24 +246,32 @@ def congestion_gate(cur_root):
         return []
     data = load(path)
     if data is None:
-        return []
+        return [f"congestion: {path} is not readable JSON"]
+    comparisons = data.get("comparisons") or []
+    if not comparisons:
+        return [f"congestion: {path} holds no comparisons to gate"]
     failures = []
-    for cmp_json in data.get("comparisons", []):
-        rmsa_flaps = cmp_json.get("tier_flaps_rmsa")
-        tl_flaps = cmp_json.get("tier_flaps_trendline")
-        if rmsa_flaps is None or tl_flaps is None:
-            continue
+    for cmp_json in comparisons:
         label = f"congestion clients={cmp_json.get('clients')}"
+        # A renamed law or key must fail the gate, never switch it off.
+        missing = [key for key in CONGESTION_KEYS
+                   if cmp_json.get(key) is None]
+        if missing:
+            failures.append(f"{label}: comparison lacks {', '.join(missing)}")
+            print(f"[bench-delta] {label}: missing {', '.join(missing)} "
+                  "[REGRESSION]")
+            continue
+        rmsa_flaps = cmp_json["tier_flaps_rmsa"]
+        tl_flaps = cmp_json["tier_flaps_trendline"]
         verdict = "ok"
         if tl_flaps >= rmsa_flaps:
             verdict = "REGRESSION"
             failures.append(
                 f"{label}: trendline tier flaps {tl_flaps} not below "
                 f"rmsa {rmsa_flaps}")
-        rmsa_p99 = cmp_json.get("fast_p99_ms_rmsa")
-        tl_p99 = cmp_json.get("fast_p99_ms_trendline")
-        if (rmsa_p99 is not None and tl_p99 is not None and
-                rmsa_p99 >= MIN_PREV_MS and
+        rmsa_p99 = cmp_json["fast_p99_ms_rmsa"]
+        tl_p99 = cmp_json["fast_p99_ms_trendline"]
+        if (rmsa_p99 >= MIN_PREV_MS and
                 tl_p99 > rmsa_p99 * (1.0 + CONGESTION_P99_TOLERANCE)):
             verdict = "REGRESSION"
             failures.append(

@@ -112,11 +112,18 @@ void Reactor::run() {
   }
 
   // Final drain: tasks posted before stop() still run (shutdown sequences
-  // rely on this); afterwards post() refuses and closures are simply freed.
-  drain_tasks();
-  {
-    std::lock_guard<std::mutex> lock(tasks_mutex_);
-    drained_ = true;
+  // rely on this), and so do tasks those tasks post. The queue is found
+  // empty and post() closed in one critical section, so every post() that
+  // returned true has run; afterwards post() refuses.
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lock(tasks_mutex_);
+      if (tasks_.empty()) {
+        drained_ = true;
+        break;
+      }
+    }
+    drain_tasks();
   }
   running_.store(false);
 }

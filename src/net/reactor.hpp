@@ -90,7 +90,8 @@ class Reactor {
 
   // -- cross-thread --------------------------------------------------------
   /// Queue `task` for the loop thread and wake it. Returns false (dropping
-  /// the task) once the loop has exited for good.
+  /// the task) once the loop has exited for good; a post() that returned
+  /// true always runs, even one made by a task of the final drain.
   bool post(Task task);
 
   Stats stats() const;

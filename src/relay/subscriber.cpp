@@ -11,6 +11,7 @@
 #include "net/socket.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
+#include "web/http.hpp"
 #include "web/hub.hpp"
 
 namespace ricsa::relay {
@@ -50,20 +51,12 @@ bool splice_u64(std::string& body, std::string_view key, std::uint64_t value) {
   return true;
 }
 
-double backoff_delay_s(const SubscriberConfig& config, int failures) {
-  double delay = config.backoff_initial_s;
-  for (int i = 1; i < failures && delay < config.backoff_max_s; ++i) {
-    delay *= 2.0;
-  }
-  return std::min(delay, config.backoff_max_s);
-}
-
-double respawn_delay_s(const SubscriberConfig& config, int respawns) {
-  double delay = config.respawn_initial_s;
-  for (int i = 1; i < respawns && delay < config.respawn_max_s; ++i) {
-    delay *= 2.0;
-  }
-  return std::min(delay, config.respawn_max_s);
+/// Delay before retry number `attempt` (1-based): initial * 2^(attempt-1),
+/// capped — the schedule of both reconnects and supervisor respawns.
+double capped_backoff_s(double initial_s, double max_s, int attempt) {
+  double delay = initial_s;
+  for (int i = 1; i < attempt && delay < max_s; ++i) delay *= 2.0;
+  return std::min(delay, max_s);
 }
 
 }  // namespace
@@ -84,25 +77,11 @@ struct RelaySubscriber::Conn : net::EventHandler {
   bool connected_once = false;
 
   std::string out;  // unsent request bytes
-  std::string in;   // raw bytes read, consumed by the response parser
+  std::string in;   // bytes of one read, handed to the decoder
+  web::ResponseDecoder decoder;
 
   enum class Pending { kNone, kState, kPoll, kStream };
   Pending pending = Pending::kNone;
-
-  // In-flight response parse state.
-  bool have_headers = false;
-  int status = 0;
-  std::size_t content_length = 0;
-  bool chunked = false;
-  bool close_after = false;
-  bool streaming = false;  // 200 on /api/stream: body is an endless SSE feed
-
-  // Chunked-transfer decoder (SSE responses are always chunked).
-  enum class ChunkMode { kSize, kData, kCrLf };
-  ChunkMode chunk_mode = ChunkMode::kSize;
-  std::size_t chunk_left = 0;
-  bool stream_ended = false;  // terminal 0-chunk seen
-  std::string decoded;        // de-chunked SSE payload, split on "\n\n"
 
   // Forwarding protocol state.
   bool use_sse = true;         // transport preference (auto-negotiated)
@@ -206,9 +185,7 @@ void RelaySubscriber::conn_event(Conn* c, std::uint32_t events) {
   if (c->failed || !c->sock.valid()) return;
   if (c->connecting) {
     if ((events & (EPOLLERR | EPOLLHUP)) != 0 || c->sock.connect_error() != 0) {
-      c->failures = std::min(c->failures + 1, 16);
-      teardown(c);
-      schedule_connect(c, backoff_delay_s(config_, c->failures));
+      retry_connection(c);
       return;
     }
     c->connecting = false;
@@ -239,9 +216,7 @@ void RelaySubscriber::start_connect(Conn* c) {
   c->sock = net::Socket::connect_loopback(config_.upstream_port);
   if (!c->sock.valid() ||
       !reactor_.add(c->sock.fd(), EPOLLOUT, c)) {
-    c->sock.close();
-    c->failures = std::min(c->failures + 1, 16);
-    schedule_connect(c, backoff_delay_s(config_, c->failures));
+    retry_connection(c);
     return;
   }
   c->registered = true;
@@ -267,13 +242,19 @@ void RelaySubscriber::teardown(Conn* c) {
   c->connecting = false;
   c->out.clear();
   c->in.clear();
-  c->decoded.clear();
+  c->decoder.reset();
   c->pending = Conn::Pending::kNone;
-  c->have_headers = false;
-  c->streaming = false;
-  c->stream_ended = false;
-  c->chunk_mode = Conn::ChunkMode::kSize;
-  c->chunk_left = 0;
+}
+
+void RelaySubscriber::retry_connection(Conn* c, bool backoff) {
+  c->failures = std::min(c->failures + 1, 16);
+  c->joined = false;
+  c->resync_pending = true;
+  teardown(c);
+  schedule_connect(c, backoff ? capped_backoff_s(config_.backoff_initial_s,
+                                                  config_.backoff_max_s,
+                                                  c->failures)
+                               : 0.0);
 }
 
 void RelaySubscriber::fail_subscription(Conn* c, const std::string& why) {
@@ -299,7 +280,9 @@ void RelaySubscriber::schedule_respawn(Conn* c) {
   if (stopped_.load() || c->retry_timer != 0) return;
   c->respawns = std::min(c->respawns + 1, 16);
   c->retry_timer =
-      reactor_.run_after(respawn_delay_s(config_, c->respawns), [this, c] {
+      reactor_.run_after(capped_backoff_s(config_.respawn_initial_s,
+                                          config_.respawn_max_s, c->respawns),
+                         [this, c] {
         c->retry_timer = 0;
         if (stopped_.load()) return;
         {
@@ -319,8 +302,7 @@ void RelaySubscriber::schedule_respawn(Conn* c) {
 void RelaySubscriber::begin_resync(Conn* c, bool teardown_connection) {
   c->resync_pending = true;
   c->joined = false;
-  if (teardown_connection || c->streaming || !c->sock.valid() ||
-      c->connecting) {
+  if (teardown_connection || !c->sock.valid() || c->connecting) {
     teardown(c);
     schedule_connect(c, 0.0);
   } else {
@@ -348,16 +330,6 @@ void RelaySubscriber::send_next_request(Conn* c) {
       target = "/api/poll" + cursor;
     }
   }
-  c->have_headers = false;
-  c->status = 0;
-  c->content_length = 0;
-  c->chunked = false;
-  c->close_after = false;
-  c->streaming = false;
-  c->stream_ended = false;
-  c->chunk_mode = Conn::ChunkMode::kSize;
-  c->chunk_left = 0;
-  c->decoded.clear();
   c->out += "GET " + target +
             " HTTP/1.1\r\nHost: relay\r\nConnection: keep-alive\r\n"
             "X-Relay-Path: " + config_.relay_id + "\r\n\r\n";
@@ -372,11 +344,7 @@ void RelaySubscriber::flush(Conn* c) {
     if (written > 0) c->out.erase(0, written);
     if (st == net::IoStatus::kWouldBlock) break;
     if (st == net::IoStatus::kError) {
-      c->failures = std::min(c->failures + 1, 16);
-      c->joined = false;
-      c->resync_pending = true;
-      teardown(c);
-      schedule_connect(c, backoff_delay_s(config_, c->failures));
+      retry_connection(c);
       return;
     }
     if (written == 0) break;
@@ -391,137 +359,84 @@ void RelaySubscriber::on_readable(Conn* c) {
     const net::IoStatus st = c->sock.read_some(c->in);
     if (st == net::IoStatus::kOk) {
       c->last_activity = Clock::now();
+      c->decoder.feed(c->in);
+      c->in.clear();
       continue;
     }
     if (st == net::IoStatus::kWouldBlock) break;
     eof = true;  // kEof or kError: the peer is gone either way
     break;
   }
-  // Drain every complete response / stream event from the buffer.
+  // Act on every complete response head, body and stream event.
+  using Item = web::ResponseDecoder::Item;
   while (c->sock.valid() && !c->failed) {
-    if (!c->have_headers && !handle_headers(c)) break;
-    if (!c->sock.valid() || c->failed) break;
-    if (c->streaming) {
-      consume_stream(c);
-      break;
+    const Item item = c->decoder.next();
+    if (item == Item::kNeedMore) break;
+    if (item == Item::kHead) {
+      handle_head(c);
+    } else if (item == Item::kBody) {
+      handle_response(c, std::move(c->decoder.body()));
+    } else if (item == Item::kEvent) {
+      c->last_activity = Clock::now();
+      web::ResponseDecoder::Event& event = c->decoder.event();
+      if (!event.has_data) continue;  // ": keepalive" comment
+      c->failures = 0;
+      if (!handle_body(c, std::move(event.data))) {
+        // A stream cannot move its cursor mid-flight: resync by reconnect.
+        begin_resync(c, /*teardown_connection=*/true);
+      }
+    } else {
+      // kEnd: the upstream ended the stream (shutdown or restart), a
+      // potential new epoch; re-join at once. kError: not our protocol.
+      retry_connection(c, /*backoff=*/item == Item::kError);
     }
-    if (c->in.size() < c->content_length) break;
-    if (!handle_response(c)) break;
   }
   if (eof && c->sock.valid() && !c->failed) {
     // Peer closed mid-exchange (origin stop/restart, keep-alive cut):
     // reconnect with backoff and re-join from a fresh full frame.
-    c->failures = std::min(c->failures + 1, 16);
-    c->joined = false;
-    c->resync_pending = true;
-    teardown(c);
-    schedule_connect(c, backoff_delay_s(config_, c->failures));
+    retry_connection(c);
   }
 }
 
-bool RelaySubscriber::handle_headers(Conn* c) {
-  const std::size_t pos = c->in.find("\r\n\r\n");
-  if (pos == std::string::npos) {
-    if (c->in.size() > (1u << 20)) {
-      // A megabyte without a header terminator is not HTTP.
-      c->failures = std::min(c->failures + 1, 16);
-      c->joined = false;
-      c->resync_pending = true;
-      teardown(c);
-      schedule_connect(c, backoff_delay_s(config_, c->failures));
-    }
-    return false;
-  }
-  const std::string head = c->in.substr(0, pos);
-  c->in.erase(0, pos + 4);
-  c->status = 0;
-  c->content_length = 0;
-  c->chunked = false;
-  c->close_after = false;
-  std::string relay_path;
-  std::size_t line_start = 0;
-  bool first = true;
-  while (line_start < head.size()) {
-    std::size_t line_end = head.find("\r\n", line_start);
-    if (line_end == std::string::npos) line_end = head.size();
-    const std::string_view line(head.data() + line_start,
-                                line_end - line_start);
-    line_start = line_end + 2;
-    if (first) {
-      first = false;
-      const std::size_t sp = line.find(' ');
-      if (sp != std::string_view::npos) {
-        c->status = std::atoi(std::string(line.substr(sp + 1)).c_str());
-      }
-      continue;
-    }
-    const std::size_t colon = line.find(':');
-    if (colon == std::string_view::npos) continue;
-    const std::string key = util::to_lower(util::trim(line.substr(0, colon)));
-    const std::string_view value = util::trim(line.substr(colon + 1));
-    if (key == "content-length") {
-      c->content_length = std::strtoull(std::string(value).c_str(), nullptr, 10);
-    } else if (key == "transfer-encoding") {
-      c->chunked = util::to_lower(value).find("chunked") != std::string::npos;
-    } else if (key == "x-relay-path") {
-      relay_path.assign(value);
-    } else if (key == "connection") {
-      c->close_after = util::iequals(value, "close");
-    }
-  }
-  c->have_headers = true;
-  note_relay_path(c, relay_path);  // may fail the view permanently
-  if (c->failed) return false;
-  if (c->status == 409) {
+void RelaySubscriber::handle_head(Conn* c) {
+  const web::ResponseDecoder::Head& head = c->decoder.head();
+  const std::string* relay_path = head.find("x-relay-path");
+  note_relay_path(c, relay_path != nullptr ? *relay_path : std::string());
+  if (c->failed) return;  // cycle or depth cap
+  if (head.status == 409) {
     fail_subscription(c, "upstream rejected the subscription (409 conflict)");
-    return false;
+    return;
   }
-  if (c->status != 200) {
-    const bool stream_req = c->pending == Conn::Pending::kStream;
-    const int status = c->status;
-    c->failures = std::min(c->failures + 1, 16);
-    c->joined = false;
-    c->resync_pending = true;
-    teardown(c);
-    if (stream_req && config_.transport == "auto" &&
-        (status == 400 || status == 405 || status == 501)) {
-      // The upstream has no usable stream route: settle on long-poll.
-      // (404 is excluded — it means the *view* is not declared yet, and
-      // downgrading the transport would not help.)
+  const bool stream_req = c->pending == Conn::Pending::kStream;
+  if (head.status != 200) {
+    // The upstream has no usable stream route: settle on long-poll. (404
+    // is excluded — it means the *view* is not declared yet, and
+    // downgrading the transport would not help.) 503 (overload), 404 and
+    // anything else transient retry the same transport with backoff.
+    const bool downgrade =
+        stream_req && config_.transport == "auto" &&
+        (head.status == 400 || head.status == 405 || head.status == 501);
+    if (downgrade) {
       c->use_sse = false;
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        c->stats.sse = false;
-      }
-      schedule_connect(c, 0.0);
-    } else {
-      // 503 (overload), 404 (view not yet published), or anything else
-      // transient: retry the same transport with backoff.
-      schedule_connect(c, backoff_delay_s(config_, c->failures));
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      c->stats.sse = false;
     }
-    return false;
+    retry_connection(c, /*backoff=*/!downgrade);
+    return;
   }
-  if (c->pending == Conn::Pending::kStream) {
-    if (!c->chunked) {
-      // A 200 stream must be chunked; anything else is not our protocol.
-      c->failures = std::min(c->failures + 1, 16);
-      c->joined = false;
-      c->resync_pending = true;
-      teardown(c);
-      schedule_connect(c, backoff_delay_s(config_, c->failures));
-      return false;
-    }
-    c->streaming = true;
+  if (head.chunked != stream_req) {
+    // A 200 stream must be chunked and a poll or state answer must not be;
+    // anything else is not our protocol.
+    retry_connection(c);
+    return;
+  }
+  if (stream_req) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     c->stats.sse = true;
   }
-  return true;
 }
 
-bool RelaySubscriber::handle_response(Conn* c) {
-  std::string body = c->in.substr(0, c->content_length);
-  c->in.erase(0, c->content_length);
-  c->have_headers = false;
+void RelaySubscriber::handle_response(Conn* c, std::string body) {
   const Conn::Pending pending = c->pending;
   c->pending = Conn::Pending::kNone;
   c->failures = 0;
@@ -543,84 +458,22 @@ bool RelaySubscriber::handle_response(Conn* c) {
       c->stats.failure.clear();
     }
     send_next_request(c);
-    return true;
+    return;
   }
   const bool ok = handle_body(c, std::move(body));
-  if (c->failed || !c->sock.valid()) return false;
+  if (c->failed || !c->sock.valid()) return;
   if (!ok) {
     // Epoch change / base mismatch: re-join. The response was consumed in
     // full, so the keep-alive connection is reusable.
     begin_resync(c, /*teardown_connection=*/false);
-    return c->sock.valid();
+    return;
   }
-  if (c->close_after) {
+  if (c->decoder.head().close) {
     teardown(c);
     schedule_connect(c, 0.0);
-    return false;
+    return;
   }
   send_next_request(c);
-  return true;
-}
-
-void RelaySubscriber::consume_stream(Conn* c) {
-  // De-chunk into the decoded buffer.
-  while (!c->stream_ended) {
-    if (c->chunk_mode == Conn::ChunkMode::kSize) {
-      const std::size_t pos = c->in.find("\r\n");
-      if (pos == std::string::npos) break;
-      const unsigned long size = std::strtoul(c->in.c_str(), nullptr, 16);
-      c->in.erase(0, pos + 2);
-      if (size == 0) {
-        c->stream_ended = true;
-        break;
-      }
-      c->chunk_left = size;
-      c->chunk_mode = Conn::ChunkMode::kData;
-    } else if (c->chunk_mode == Conn::ChunkMode::kData) {
-      if (c->in.empty()) break;
-      const std::size_t take = std::min(c->chunk_left, c->in.size());
-      c->decoded.append(c->in, 0, take);
-      c->in.erase(0, take);
-      c->chunk_left -= take;
-      if (c->chunk_left == 0) c->chunk_mode = Conn::ChunkMode::kCrLf;
-    } else {  // kCrLf: trailing \r\n after a data chunk
-      if (c->in.size() < 2) break;
-      c->in.erase(0, 2);
-      c->chunk_mode = Conn::ChunkMode::kSize;
-    }
-  }
-  // Split SSE events on the blank-line terminator and forward each body.
-  for (;;) {
-    const std::size_t pos = c->decoded.find("\n\n");
-    if (pos == std::string::npos) break;
-    const std::string event = c->decoded.substr(0, pos);
-    c->decoded.erase(0, pos + 2);
-    c->last_activity = Clock::now();
-    std::string data;
-    std::size_t line_start = 0;
-    while (line_start < event.size()) {
-      std::size_t line_end = event.find('\n', line_start);
-      if (line_end == std::string::npos) line_end = event.size();
-      const std::string_view line(event.data() + line_start,
-                                  line_end - line_start);
-      line_start = line_end + 1;
-      if (line.rfind("data: ", 0) == 0) data.assign(line.substr(6));
-    }
-    if (data.empty()) continue;  // ": keepalive" comment
-    c->failures = 0;
-    if (!handle_body(c, std::move(data))) {
-      // A stream cannot move its cursor mid-flight: resync by reconnect.
-      begin_resync(c, /*teardown_connection=*/true);
-      return;
-    }
-    if (c->failed || !c->sock.valid()) return;
-  }
-  if (c->stream_ended) {
-    // The upstream ended the stream (shutdown or restart): treat it as a
-    // potential new epoch and re-join from scratch.
-    c->failures = std::min(c->failures + 1, 16);
-    begin_resync(c, /*teardown_connection=*/true);
-  }
 }
 
 bool RelaySubscriber::handle_body(Conn* c, std::string body) {
@@ -729,11 +582,7 @@ void RelaySubscriber::arm_watchdog(Conn* c) {
     const double idle =
         std::chrono::duration<double>(Clock::now() - c->last_activity).count();
     if (idle > budget) {
-      c->failures = std::min(c->failures + 1, 16);
-      c->joined = false;
-      c->resync_pending = true;
-      teardown(c);
-      schedule_connect(c, backoff_delay_s(config_, c->failures));
+      retry_connection(c);
       return;
     }
     arm_watchdog(c);

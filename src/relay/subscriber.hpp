@@ -10,6 +10,13 @@
 // local seq space, so downstream subscribers ride a strictly increasing
 // local window regardless of upstream restarts.
 //
+// Response framing — heads, Content-Length bodies, chunked SSE events —
+// is read by one web::ResponseDecoder per connection; the subscriber only
+// acts on the items it yields. A malformed response is a broken exchange:
+// like a dropped connection or a silent upstream, it takes the one failure
+// path (count the failure, tear down, reconnect after a capped-exponential
+// backoff, re-join from a fresh full frame).
+//
 // Resync semantics: the subscriber tracks the upstream cursor per view. A
 // received seq at or below the cursor (origin restart: seq counting
 // re-began), a delta whose base_seq is not the cursor, or an explicit
@@ -131,15 +138,20 @@ class RelaySubscriber {
   void schedule_connect(Conn* conn, double delay_s);
   void start_connect(Conn* conn);
   void teardown(Conn* conn);
+  /// The one failure path for a refused connect or a broken, unusable or
+  /// ended exchange: count the failure, forget the join (the next
+  /// connection re-joins from a fresh full frame), tear down, and reconnect
+  /// after the capped-exponential backoff, or at once without `backoff`.
+  void retry_connection(Conn* conn, bool backoff = true);
   void fail_subscription(Conn* conn, const std::string& why);
   void schedule_respawn(Conn* conn);
   void begin_resync(Conn* conn, bool teardown_connection);
   void send_next_request(Conn* conn);
   void flush(Conn* conn);
   void on_readable(Conn* conn);
-  bool handle_response(Conn* conn);
-  void consume_stream(Conn* conn);
-  bool handle_headers(Conn* conn);
+  /// A response head and a complete state/poll body from the decoder.
+  void handle_head(Conn* conn);
+  void handle_response(Conn* conn, std::string body);
   /// One received poll body / SSE event. Returns false when the
   /// connection must be torn down (resync through reconnect).
   bool handle_body(Conn* conn, std::string body);

@@ -9,7 +9,9 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -111,7 +113,8 @@ constexpr std::size_t kMaxPipelinedBytes = 1u << 20;
 /// honoring the drained callback stays far below this; hitting it means
 /// the producer ignores backpressure while the consumer is effectively
 /// dead, and the connection is dropped rather than growing without bound.
-constexpr std::size_t kMaxStreamBuffered = 16u << 20;
+/// It equals the decoder's event cap: any event queued fits a client.
+constexpr std::size_t kMaxStreamBuffered = ResponseDecoder::kMaxBodyBytes;
 
 /// Parse one request out of the front of `buffer`. Consumes the request's
 /// bytes only on kOk; on kNeedMore the buffer is left intact for the next
@@ -161,27 +164,6 @@ ParseResult parse_request(std::string& buffer, HttpRequest& out) {
   out.body = buffer.substr(header_end + 4, content_length);
   buffer.erase(0, total);
   return ParseResult::kOk;
-}
-
-/// Flat-string serialization, used only for the pre-connection 503 reject
-/// (a fresh socket, one small write). Live connections serialize onto
-/// their BufferChain via detail::append_response_chain instead.
-void append_response(std::string& out, const HttpResponse& response,
-                     bool keep_alive, bool suppress_body) {
-  out += util::strprintf(
-      "HTTP/1.1 %d %s\r\nContent-Length: %zu\r\nConnection: %s\r\n",
-      response.status, status_text(response.status), response.body_size(),
-      keep_alive ? "keep-alive" : "close");
-  for (const auto& [key, value] : response.headers) {
-    out += key + ": " + value + "\r\n";
-  }
-  out += "\r\n";
-  if (suppress_body) return;
-  if (response.shared_body) {
-    out += *response.shared_body;
-  } else {
-    out += response.body;
-  }
 }
 
 /// iovec batch per sendmsg. Far above a typical response's segment count
@@ -690,13 +672,14 @@ void HttpServer::adopt_connection(Shard* shard, net::Socket sock,
 
 void HttpServer::reject_with_503(Shard* shard, net::Socket sock) {
   rejected_.fetch_add(1);
-  std::string wire;
-  append_response(wire,
-                  HttpResponse::text("service unavailable: connection limit",
-                                     503),
-                  /*keep_alive=*/false, /*suppress_body=*/false);
-  std::size_t written = 0;
-  sock.write_some(wire.data(), wire.size(), written);  // fresh socket: fits
+  net::BufferChain wire;
+  detail::append_response_chain(
+      wire, HttpResponse::text("service unavailable: connection limit", 503),
+      /*keep_alive=*/false, /*suppress_body=*/false);
+  struct iovec iov[2];
+  const int iovcnt = wire.fill_iov(iov, 2);
+  [[maybe_unused]] const ssize_t sent =
+      ::writev(sock.fd(), iov, iovcnt);  // fresh socket: fits
   // Half-close instead of close: an immediate close() with the client's
   // request sitting unread in our receive buffer turns into an RST that
   // can destroy the 503 before the client reads it. The fd is reaped
@@ -1146,6 +1129,248 @@ void HttpServer::continue_write(const std::shared_ptr<Connection>& conn) {
   update_events(conn);
 }
 
+// ------------------------------------------------------ response decoder --
+
+namespace {
+
+/// Calls `fn` on each `sep`-separated piece of `text` until it returns false.
+template <typename Fn>
+bool for_each_piece(std::string_view text, std::string_view sep, Fn fn) {
+  for (std::size_t start = 0;;) {
+    const std::size_t end = std::min(text.find(sep, start), text.size());
+    if (!fn(text.substr(start, end - start))) return false;
+    if (end == text.size()) return true;
+    start = end + sep.size();
+  }
+}
+
+/// "HTTP/1.x NNN[ reason]" -> NNN, or 0 when malformed.
+int parse_status_line(std::string_view line) {
+  int status = 0;
+  if (line.size() < 12 || line.substr(0, 7) != "HTTP/1." || line[8] != ' ' ||
+      (line.size() > 12 && line[12] != ' ')) {
+    return 0;
+  }
+  const auto [ptr, ec] =
+      std::from_chars(line.data() + 9, line.data() + 12, status);
+  return ec == std::errc() && ptr == line.data() + 12 && status >= 100 ? status
+                                                                       : 0;
+}
+
+}  // namespace
+
+const std::string* ResponseDecoder::Head::find(std::string_view name) const {
+  const auto it = std::find_if(headers.begin(), headers.end(),
+                               [&](const auto& h) { return h.first == name; });
+  return it == headers.end() ? nullptr : &it->second;
+}
+
+void ResponseDecoder::feed(std::string_view bytes) {
+  if (state_ == State::kError) return;
+  in_.erase(0, pos_);
+  pos_ = 0;
+  in_.append(bytes);
+}
+
+std::size_t ResponseDecoder::buffered() const noexcept {
+  return in_.size() - pos_ + events_.size() - epos_ +
+         (state_ == State::kBody ? body_.size() : 0);
+}
+
+void ResponseDecoder::reset() { *this = ResponseDecoder(); }
+
+ResponseDecoder::Item ResponseDecoder::fail(const char* why) {
+  reset();
+  state_ = State::kError;
+  error_ = why;
+  return Item::kError;
+}
+
+ResponseDecoder::Item ResponseDecoder::next() {
+  for (;;) {
+    const std::string_view avail = std::string_view(in_).substr(pos_);
+    switch (state_) {
+      case State::kError:
+        return Item::kError;
+      case State::kHead: {
+        // Over the cap whether or not the terminator is in yet (it cannot
+        // start before the last 3 bytes when it is not).
+        const std::size_t end = avail.find("\r\n\r\n");
+        if (end == std::string_view::npos ? avail.size() >= kMaxHeaderBytes
+                                          : end + 4 > kMaxHeaderBytes) {
+          return fail("header block too large");
+        }
+        if (end == std::string_view::npos) return Item::kNeedMore;
+        return parse_head(avail.substr(0, end));
+      }
+      case State::kBody: {
+        const std::size_t take = std::min(left_, avail.size());
+        body_.append(avail.substr(0, take));
+        pos_ += take;
+        left_ -= take;
+        if (left_ > 0) return Item::kNeedMore;
+        state_ = State::kHead;
+        return Item::kBody;
+      }
+      case State::kChunkSize: {
+        if (take_event()) return Item::kEvent;
+        if (state_ == State::kError) return Item::kError;  // a bad event
+        // Bare hex digits only: 15 of them already exceed any real size.
+        const std::size_t end = avail.find("\r\n");
+        if (end == std::string_view::npos ? avail.size() > 16 : end > 15) {
+          return fail("chunk-size line too long");
+        }
+        if (end == std::string_view::npos) return Item::kNeedMore;
+        const auto [ptr, ec] =
+            std::from_chars(avail.data(), avail.data() + end, left_, 16);
+        if (end == 0 || ec != std::errc() || ptr != avail.data() + end) {
+          return fail("chunk size is not hex");
+        }
+        pos_ += end + 2;
+        state_ = left_ == 0 ? State::kLastChunkEnd : State::kChunkData;
+        break;
+      }
+      case State::kChunkData: {
+        // Walk the blank-line terminators among the new bytes: no event,
+        // and no run still waiting for its terminator, may exceed the cap.
+        std::size_t from =
+            std::max(run_start_, std::max<std::size_t>(events_.size(), 1) - 1);
+        const std::size_t take = std::min(left_, avail.size());
+        events_.append(avail.substr(0, take));
+        pos_ += take;
+        left_ -= take;
+        for (std::size_t end;
+             (end = events_.find("\n\n", from)) != std::string::npos;
+             from = run_start_) {
+          if (end - run_start_ > kMaxBodyBytes) return fail("event too large");
+          run_start_ = end + 2;
+        }
+        if (events_.size() - run_start_ > kMaxBodyBytes) {
+          return fail("event too large");
+        }
+        if (left_ > 0) return Item::kNeedMore;
+        state_ = State::kChunkDataEnd;
+        break;
+      }
+      case State::kChunkDataEnd:
+      case State::kLastChunkEnd:
+        if (avail.size() < 2) return Item::kNeedMore;
+        if (avail.substr(0, 2) != "\r\n") {
+          return fail("chunk not followed by CRLF");
+        }
+        pos_ += 2;
+        if (state_ == State::kChunkDataEnd) {
+          // Only a chunk whose framing checked out releases its events, so
+          // where the reads split the wire never changes what is decoded.
+          framed_ = events_.size();
+          state_ = State::kChunkSize;
+          break;
+        }
+        // Complete events were all taken before the terminal chunk's size
+        // line; an event it cut off is dropped, as an SSE client would.
+        events_.clear();
+        epos_ = framed_ = run_start_ = 0;
+        state_ = State::kHead;
+        return Item::kEnd;
+    }
+  }
+}
+
+ResponseDecoder::Item ResponseDecoder::parse_head(std::string_view block) {
+  head_ = Head{};
+  const char* why = nullptr;
+  for_each_piece(block, "\r\n", [&](std::string_view line) {
+    if (head_.status == 0) {
+      head_.status = parse_status_line(line);
+      if (head_.status == 0) why = "bad status line";
+      return why == nullptr;
+    }
+    const std::size_t colon = line.find(':');
+    if (colon == 0 || colon == std::string_view::npos ||
+        line.substr(0, colon).find_first_of(" \t") != std::string_view::npos) {
+      why = "bad header line";
+      return false;
+    }
+    std::string name = util::to_lower(line.substr(0, colon));
+    const std::string_view value = util::trim(line.substr(colon + 1));
+    if (name == "content-length") {
+      if (head_.has_content_length ||
+          !parse_content_length(std::string(value), head_.content_length)) {
+        why = "bad content-length";
+      }
+      head_.has_content_length = true;
+    } else if (name == "transfer-encoding") {
+      if (!util::iequals(value, "chunked")) why = "unsupported transfer-encoding";
+      head_.chunked = true;
+    } else if (name == "connection") {
+      for_each_piece(value, ",", [&](std::string_view token) {
+        head_.close = head_.close || util::iequals(util::trim(token), "close");
+        return true;
+      });
+    }
+    head_.headers.emplace_back(std::move(name), value);
+    return why == nullptr;
+  });
+  if (why == nullptr && head_.chunked && head_.has_content_length) {
+    why = "both content-length and chunked";
+  }
+  if (why == nullptr && head_.content_length > kMaxBodyBytes) {
+    why = "body too large";
+  }
+  if (why != nullptr) return fail(why);
+  pos_ += block.size() + 4;
+  body_.clear();
+  left_ = head_.content_length;
+  state_ = head_.chunked ? State::kChunkSize : State::kBody;
+  return Item::kHead;
+}
+
+bool ResponseDecoder::take_event() {
+  // run_start_ is just past the last terminator seen: none lies beyond epos_
+  // unless run_start_ does.
+  const std::size_t end =
+      run_start_ <= epos_ ? std::string::npos
+                          : std::string_view(events_.data(), framed_)
+                                .find("\n\n", epos_);
+  if (end == std::string::npos) return false;
+  event_ = Event{};
+  bool comment = false;
+  const bool ok = for_each_piece(
+      std::string_view(events_).substr(epos_, end - epos_), "\n",
+      [&](std::string_view line) {
+        const std::size_t colon = line.find(':');
+        std::string_view value;
+        if (colon != std::string_view::npos) value = line.substr(colon + 1);
+        if (!value.empty() && value[0] == ' ') value.remove_prefix(1);
+        const std::string_view field = line.substr(0, colon);
+        comment = comment || colon == 0;
+        if (field == "data") {
+          event_.has_data = true;
+          event_.data.assign(value);
+        } else if (field == "id") {
+          const auto [ptr, ec] = std::from_chars(
+              value.data(), value.data() + value.size(), event_.id);
+          event_.has_id = true;
+          return !value.empty() && ec == std::errc() &&
+                 ptr == value.data() + value.size();
+        }
+        return true;
+      });
+  if (!ok) {
+    fail("bad event id");
+    return false;
+  }
+  event_.keepalive = comment && !event_.has_data;
+  epos_ = end + 2;
+  if (epos_ > events_.size() / 2) {  // drop consumed bytes, amortized O(1)
+    events_.erase(0, epos_);
+    framed_ -= epos_;
+    run_start_ -= epos_;
+    epos_ = 0;
+  }
+  return true;
+}
+
 // ---------------------------------------------------------------- client --
 
 namespace {
@@ -1165,14 +1390,14 @@ HttpClient::HttpClient(HttpClient&& other) noexcept
     : port_(other.port_),
       fd_(other.fd_),
       reconnects_(other.reconnects_),
-      buffer_(std::move(other.buffer_)) {
+      decoder_(std::move(other.decoder_)) {
   other.fd_ = -1;
 }
 
 void HttpClient::close() {
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
-  buffer_.clear();
+  decoder_.reset();
 }
 
 void HttpClient::ensure_connected(double timeout_s) {
@@ -1194,7 +1419,7 @@ void HttpClient::ensure_connected(double timeout_s) {
     throw HttpError(HttpError::Kind::kConnect, "http client: connect() failed");
   }
   ++reconnects_;
-  buffer_.clear();
+  decoder_.reset();
 }
 
 HttpClient::Response HttpClient::exchange(const std::string& request_text,
@@ -1209,10 +1434,33 @@ HttpClient::Response HttpClient::exchange(const std::string& request_text,
     throw HttpError(HttpError::Kind::kIo, "http client: send failed");
   }
 
+  Response out;
+  bool got_bytes = decoder_.buffered() > 0;
   char chunk[8192];
-  std::size_t header_end;
-  bool got_bytes = !buffer_.empty();
-  while ((header_end = buffer_.find("\r\n\r\n")) == std::string::npos) {
+  for (;;) {
+    switch (decoder_.next()) {
+      case ResponseDecoder::Item::kHead: {
+        const ResponseDecoder::Head& head = decoder_.head();
+        out.status = head.status;
+        for (const auto& [key, value] : head.headers) out.headers[key] = value;
+        if (head.chunked) {
+          close();  // a stream never ends on its own; see the class comment
+          return out;
+        }
+        continue;
+      }
+      case ResponseDecoder::Item::kBody:
+        out.body = std::move(decoder_.body());
+        if (decoder_.head().close) close();
+        return out;
+      case ResponseDecoder::Item::kNeedMore:
+        break;
+      default: {  // kError (events only follow a chunked head)
+        const std::string why = decoder_.error();
+        close();
+        throw HttpError(HttpError::Kind::kProtocol, "http client: " + why);
+      }
+    }
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n <= 0) {
       const bool stale = n == 0 || errno == ECONNRESET;
@@ -1221,75 +1469,44 @@ HttpClient::Response HttpClient::exchange(const std::string& request_text,
         // EOF/reset before any response bytes: stale keep-alive connection.
         return exchange(request_text, timeout_s, false);
       }
-      throw HttpError(HttpError::Kind::kIo, "http client: no response");
+      throw HttpError(HttpError::Kind::kIo, out.status == 0
+                                                ? "http client: no response"
+                                                : "http client: truncated response");
     }
     got_bytes = true;
-    buffer_.append(chunk, static_cast<std::size_t>(n));
+    decoder_.feed({chunk, static_cast<std::size_t>(n)});
   }
-
-  Response out;
-  {
-    std::istringstream lines(buffer_.substr(0, header_end));
-    std::string line;
-    std::getline(lines, line);
-    std::istringstream status_line(line);
-    std::string version;
-    status_line >> version >> out.status;
-    while (std::getline(lines, line)) {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      const auto colon = line.find(':');
-      if (colon == std::string::npos) continue;
-      out.headers[util::to_lower(util::trim(line.substr(0, colon)))] =
-          std::string(util::trim(line.substr(colon + 1)));
-    }
-  }
-  buffer_.erase(0, header_end + 4);
-
-  std::size_t content_length = 0;
-  if (out.headers.count("content-length") &&
-      !parse_content_length(out.headers.at("content-length"),
-                            content_length)) {
-    close();
-    throw HttpError(HttpError::Kind::kProtocol,
-                    "http client: bad content-length");
-  }
-  while (buffer_.size() < content_length) {
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      close();
-      throw HttpError(HttpError::Kind::kIo, "http client: truncated response");
-    }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
-  }
-  out.body = buffer_.substr(0, content_length);
-  buffer_.erase(0, content_length);
-
-  if (out.headers.count("connection") &&
-      util::iequals(out.headers.at("connection"), "close")) {
-    close();
-  }
-  return out;
 }
+
+namespace {
+
+/// A GET (no content type) or POST request, keep-alive or one-shot.
+std::string request_text(const std::string& target, const std::string& body,
+                         const std::string* content_type, bool keep_alive) {
+  std::string req = (content_type == nullptr ? "GET " : "POST ") + target +
+                    " HTTP/1.1\r\nHost: localhost\r\nConnection: " +
+                    (keep_alive ? "keep-alive" : "close") + "\r\n";
+  if (content_type != nullptr) {
+    req += util::strprintf("Content-Type: %s\r\nContent-Length: %zu\r\n",
+                           content_type->c_str(), body.size());
+  }
+  return req + "\r\n" + body;
+}
+
+}  // namespace
 
 HttpClient::Response HttpClient::get(const std::string& path_and_query,
                                      double timeout_s) {
-  const std::string req =
-      "GET " + path_and_query +
-      " HTTP/1.1\r\nHost: localhost\r\nConnection: keep-alive\r\n\r\n";
-  return exchange(req, timeout_s, true);
+  return exchange(request_text(path_and_query, "", nullptr, true), timeout_s,
+                  true);
 }
 
 HttpClient::Response HttpClient::post(const std::string& path,
                                       const std::string& body,
                                       const std::string& content_type,
                                       double timeout_s) {
-  const std::string req =
-      util::strprintf(
-          "POST %s HTTP/1.1\r\nHost: localhost\r\nConnection: keep-alive\r\n"
-          "Content-Type: %s\r\nContent-Length: %zu\r\n\r\n",
-          path.c_str(), content_type.c_str(), body.size()) +
-      body;
-  return exchange(req, timeout_s, true);
+  return exchange(request_text(path, body, &content_type, true), timeout_s,
+                  true);
 }
 
 namespace {
@@ -1366,31 +1583,18 @@ HttpClient::Response HttpClient::post_with_retry(const std::string& path,
 
 // ----------------------------------------------------- one-shot helpers --
 
-namespace {
-HttpClientResponse http_exchange(int port, const std::string& request_text,
-                                 double timeout_s) {
-  HttpClient client(port);
-  const HttpClient::Response r = client.exchange(request_text, timeout_s, false);
-  return HttpClientResponse{r.status, r.headers, r.body};
-}
-}  // namespace
-
 HttpClientResponse http_get(int port, const std::string& path_and_query,
                             double timeout_s) {
-  const std::string req = "GET " + path_and_query +
-                          " HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n";
-  return http_exchange(port, req, timeout_s);
+  return HttpClient(port).exchange(
+      request_text(path_and_query, "", nullptr, false), timeout_s, false);
 }
 
 HttpClientResponse http_post(int port, const std::string& path,
                              const std::string& body,
                              const std::string& content_type,
                              double timeout_s) {
-  const std::string req = util::strprintf(
-      "POST %s HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n"
-      "Content-Type: %s\r\nContent-Length: %zu\r\n\r\n",
-      path.c_str(), content_type.c_str(), body.size()) + body;
-  return http_exchange(port, req, timeout_s);
+  return HttpClient(port).exchange(
+      request_text(path, body, &content_type, false), timeout_s, false);
 }
 
 }  // namespace ricsa::web

@@ -36,6 +36,12 @@
 // Content-Length, no body), chunked streaming responses, 405 + Allow for
 // known paths asked with the wrong or an unknown method, 503 when the
 // connection cap (or the process's fd table) is exhausted.
+//
+// The client side reads responses through one parser, ResponseDecoder:
+// an incremental, strict decoder of response heads, Content-Length bodies
+// and chunked Server-Sent Events. HttpClient, the relay subscriber, the
+// bench load fleet and the tests all use it, so the framing a browser or
+// relay sees is checked by the same code everywhere.
 #pragma once
 
 #include <atomic>
@@ -45,6 +51,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <unordered_map>
@@ -341,9 +348,85 @@ class HttpError : public std::runtime_error {
   Kind kind_;
 };
 
+/// Incremental, strict HTTP/1.1 response decoder — the one reader of
+/// response framing in the tree. Pure (no socket, no clock): feed() bytes
+/// as they arrive, split anywhere, and pull next() until kNeedMore. Per
+/// response: kHead, then one kBody (Content-Length; none means empty), or
+/// for a chunked response its de-chunked SSE events and kEnd at the
+/// terminal chunk. Pipelined responses follow back to back. Anything
+/// malformed — status line, header line, non-digit Content-Length, a
+/// chunk size that is not bare hex, a missing CRLF after chunk data, a
+/// header block over kMaxHeaderBytes, a body or event over kMaxBodyBytes —
+/// is a sticky kError holding no bytes until reset(). A response to HEAD
+/// must not be fed: the decoder does not know the request method.
+class ResponseDecoder {
+ public:
+  static constexpr std::size_t kMaxHeaderBytes = 1u << 20;
+  /// Far above any frame body; the server's own cap on a stream's backlog.
+  static constexpr std::size_t kMaxBodyBytes = 16u << 20;
+
+  enum class Item { kNeedMore, kHead, kBody, kEvent, kEnd, kError };
+
+  struct Head {
+    int status = 0;
+    bool has_content_length = false;
+    std::size_t content_length = 0;
+    bool chunked = false;
+    bool close = false;  // Connection: close
+    /// Names lower-cased, values trimmed, in wire order.
+    std::vector<std::pair<std::string, std::string>> headers;
+    /// Value of the first header named `name` (lower-case), or nullptr.
+    const std::string* find(std::string_view name) const;
+  };
+
+  struct Event {
+    bool has_id = false;
+    std::uint64_t id = 0;
+    bool has_data = false;
+    std::string data;        // the last `data:` line
+    bool keepalive = false;  // a comment-only block (": keepalive")
+  };
+
+  void feed(std::string_view bytes);
+  Item next();
+  /// Valid from kHead until the next kHead.
+  const Head& head() const noexcept { return head_; }
+  /// After kBody / kEvent; callers may move out of them.
+  std::string& body() noexcept { return body_; }
+  Event& event() noexcept { return event_; }
+  const std::string& error() const noexcept { return error_; }
+  /// Bytes held: undecoded input, a partial body, pending event bytes.
+  std::size_t buffered() const noexcept;
+  void reset();
+
+ private:
+  enum class State { kHead, kBody, kChunkSize, kChunkData, kChunkDataEnd,
+                     kLastChunkEnd, kError };
+
+  Item fail(const char* why);
+  Item parse_head(std::string_view block);
+  bool take_event();
+
+  State state_ = State::kHead;
+  std::string in_;           // fed bytes; in_[pos_..] not yet decoded
+  std::size_t pos_ = 0;
+  std::size_t left_ = 0;     // body or chunk bytes still to arrive
+  std::string events_;       // de-chunked SSE bytes; events_[epos_..] pending
+  std::size_t epos_ = 0;
+  std::size_t framed_ = 0;     // events_[..framed_] is from verified chunks
+  std::size_t run_start_ = 0;  // just past the last "\n\n" in events_
+  Head head_;
+  std::string body_;
+  Event event_;
+  std::string error_;
+};
+
 /// Blocking HTTP/1.1 client. Keeps its connection alive across requests
 /// (reconnecting transparently when the server closed it), so a long-poll
-/// loop costs one TCP connection total instead of one per poll.
+/// loop costs one TCP connection total instead of one per poll. A chunked
+/// (streaming) response is answered with its head and an empty body, and
+/// the connection is closed: a request/response client cannot consume an
+/// unbounded event stream.
 class HttpClient {
  public:
   explicit HttpClient(int port) : port_(port) {}
@@ -397,15 +480,11 @@ class HttpClient {
   int port_ = 0;
   int fd_ = -1;
   int reconnects_ = -1;  // first connect is not a reconnect
-  std::string buffer_;   // bytes read past the previous response
+  ResponseDecoder decoder_;  // holds bytes read past the previous response
 };
 
 /// One-shot helpers (Connection: close) for tests and simple tooling.
-struct HttpClientResponse {
-  int status = 0;
-  std::map<std::string, std::string> headers;
-  std::string body;
-};
+using HttpClientResponse = HttpClient::Response;
 HttpClientResponse http_get(int port, const std::string& path_and_query,
                             double timeout_s = 10.0);
 HttpClientResponse http_post(int port, const std::string& path,

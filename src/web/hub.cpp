@@ -560,6 +560,11 @@ void FrameHub::wait_async(std::uint64_t since, const WaitOptions& options,
       probe.latest_only = options.latest_only;
       ready = frame_for_locked(probe);
       stats_.served++;
+    } else if (timeout_s <= 0.0) {
+      // Nothing to serve and no time to wait: time out now. Parking with
+      // deadline = now would let a publish landing before the sweep serve
+      // a frame to a wait that had already expired.
+      stats_.timeouts++;
     } else {
       Waiter w;
       w.since = since;

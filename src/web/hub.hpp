@@ -281,7 +281,9 @@ class FrameHub {
   /// exists AND options.not_before has passed — synchronously on the caller
   /// if both already hold, else on a worker thread. done(nullptr) on timeout
   /// or shutdown. `done` must be invocable from any thread. Non-finite or
-  /// negative timeouts are treated as 0. A `since` ahead of the newest seq
+  /// negative timeouts are treated as 0, and a zero timeout with no frame
+  /// ready completes with nullptr before this returns. A `since` ahead of
+  /// the newest seq
   /// (a stale client from a previous server epoch) is clamped to the head:
   /// the waiter receives a full-frame resync at the *next publish* — never
   /// parking forever against a seq that will not arrive under this epoch,

@@ -18,13 +18,11 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,48 +67,30 @@ struct RawResponse {
   std::string body;
 };
 
-/// Read one complete HTTP response off a blocking fd; `carry` holds bytes
-/// already read past previous responses (pipelining).
-bool read_response(int fd, std::string& carry, RawResponse& out) {
+/// Read one complete HTTP response off a blocking fd; `decoder` holds
+/// bytes already read past previous responses (pipelining).
+bool read_response(int fd, w::ResponseDecoder& decoder, RawResponse& out) {
   char chunk[16384];
-  std::size_t header_end;
-  while ((header_end = carry.find("\r\n\r\n")) == std::string::npos) {
-    const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (got <= 0) return false;
-    carry.append(chunk, static_cast<std::size_t>(got));
-  }
-  {
-    std::istringstream lines(carry.substr(0, header_end));
-    std::string line;
-    std::getline(lines, line);
-    std::istringstream status_line(line);
-    std::string version;
-    status_line >> version >> out.status;
-    while (std::getline(lines, line)) {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      const auto colon = line.find(':');
-      if (colon == std::string::npos) continue;
-      std::string key = line.substr(0, colon);
-      for (char& c : key) c = static_cast<char>(::tolower(c));
-      std::string value = line.substr(colon + 1);
-      while (!value.empty() && value.front() == ' ') value.erase(0, 1);
-      out.headers[key] = value;
+  for (;;) {
+    switch (decoder.next()) {
+      case w::ResponseDecoder::Item::kHead:
+        out.status = decoder.head().status;
+        out.headers.insert(decoder.head().headers.begin(),
+                           decoder.head().headers.end());
+        break;
+      case w::ResponseDecoder::Item::kBody:
+        out.body = std::move(decoder.body());
+        return true;
+      case w::ResponseDecoder::Item::kNeedMore: {
+        const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
+        if (got <= 0) return false;
+        decoder.feed({chunk, static_cast<std::size_t>(got)});
+        break;
+      }
+      default:
+        return false;
     }
   }
-  carry.erase(0, header_end + 4);
-  std::size_t content_length = 0;
-  if (out.headers.count("content-length")) {
-    content_length = static_cast<std::size_t>(
-        std::stoull(out.headers.at("content-length")));
-  }
-  while (carry.size() < content_length) {
-    const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (got <= 0) return false;
-    carry.append(chunk, static_cast<std::size_t>(got));
-  }
-  out.body = carry.substr(0, content_length);
-  carry.erase(0, content_length);
-  return true;
 }
 
 bool send_all(int fd, const std::string& text) {
@@ -217,6 +197,55 @@ TEST(Reactor, RunsPostedTasksAndTimersOnTheLoopThread) {
   EXPECT_FALSE(reactor.post([] {}));
 }
 
+TEST(Reactor, EveryAcceptedPostRunsExactlyOnceAcrossStop) {
+  // A task run by the final drain may post again; that post is accepted
+  // and must run too, not be stranded behind a closed queue.
+  {
+    n::Reactor reactor;
+    std::atomic<int> accepted{0};
+    std::atomic<int> ran{0};
+    reactor.post([&] {
+      reactor.stop();
+      accepted += reactor.post([&] {  // runs in the final drain
+        ++ran;
+        accepted += reactor.post([&] { ++ran; });
+      });
+    });
+    reactor.run();
+    EXPECT_EQ(accepted.load(), 2);
+    EXPECT_EQ(ran.load(), 2);
+    EXPECT_FALSE(reactor.post([] {}));
+  }
+  // Threads posting while the loop stops: whichever side of the stop each
+  // post() lands on, true means the task ran exactly once and false means
+  // it never did.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 20000;
+  for (int round = 0; round < 10; ++round) {
+    n::Reactor reactor;
+    std::vector<std::atomic<int>> runs(kThreads * kPerThread);
+    std::vector<char> accepted(kThreads * kPerThread, 0);
+    std::thread loop([&] { reactor.run(); });
+    std::vector<std::thread> posters;
+    for (int t = 0; t < kThreads; ++t) {
+      posters.emplace_back([&, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          const int id = t * kPerThread + i;
+          accepted[id] = reactor.post([&runs, id] { ++runs[id]; });
+          if (!accepted[id]) break;
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200 * round));
+    reactor.stop();
+    loop.join();
+    for (std::thread& poster : posters) poster.join();
+    for (int id = 0; id < kThreads * kPerThread; ++id) {
+      ASSERT_EQ(runs[id].load(), accepted[id] ? 1 : 0) << "task " << id;
+    }
+  }
+}
+
 // ------------------------------------------------------------ slow loris --
 
 TEST(ReactorHttp, SlowLorisPartialRequestDiesAtIdleDeadline) {
@@ -255,7 +284,7 @@ TEST(ReactorHttp, SlowButSteadySenderSurvivesThePerByteWindow) {
     ASSERT_TRUE(send_all(fd, piece));
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
   }
-  std::string carry;
+  w::ResponseDecoder carry;
   RawResponse response;
   ASSERT_TRUE(read_response(fd, carry, response));
   EXPECT_EQ(response.status, 200);
@@ -276,7 +305,7 @@ TEST(ReactorHttp, RequestThenFinClientIsStillServed) {
   ASSERT_TRUE(send_all(
       fd, "GET /hello HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"));
   ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
-  std::string carry;
+  w::ResponseDecoder carry;
   RawResponse response;
   ASSERT_TRUE(read_response(fd, carry, response));
   EXPECT_EQ(response.status, 200);
@@ -308,7 +337,7 @@ TEST(ReactorHttp, ResponseLargerThanSocketBuffersDrainsAcrossEagain) {
       fd, "GET /big HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"));
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
-  std::string carry;
+  w::ResponseDecoder carry;
   RawResponse response;
   ASSERT_TRUE(read_response(fd, carry, response));
   EXPECT_EQ(response.status, 200);
@@ -352,7 +381,7 @@ TEST(ReactorHttp, HubPollTimeoutFiresWhileEarlierWriteIsPending) {
                        "GET /park HTTP/1.1\r\nHost: x\r\n\r\n"));
   std::this_thread::sleep_for(std::chrono::milliseconds(600));
 
-  std::string carry;
+  w::ResponseDecoder carry;
   RawResponse first, second;
   ASSERT_TRUE(read_response(fd, carry, first));
   EXPECT_EQ(first.status, 200);

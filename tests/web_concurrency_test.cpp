@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -262,6 +263,29 @@ TEST(FrameHub, WaitTimesOutWithoutAFrame) {
   ASSERT_TRUE(timed_out.load());
   EXPECT_GE(waited_s.load(), 0.045);
   EXPECT_EQ(hub.stats().timeouts, 1u);
+}
+
+TEST(FrameHub, ZeroTimeoutWithoutAFrameCompletesBeforeReturning) {
+  // A zero (or clamped: negative, NaN) timeout with nothing to serve must
+  // time out on the caller's thread. A parked waiter with deadline = now
+  // could instead be served by a publish landing before the sweep.
+  w::FrameHub hub(w::FrameHub::Config{4, 1, 5.0});
+  hub.publish(state_of("density", 1.0), kNoImage);
+  for (const double timeout_s : {0.0, -5.0, std::nan("")}) {
+    for (const std::uint64_t ahead : {0ull, 1000ull}) {  // at, past head
+      bool fired = false;
+      bool got_frame = false;
+      hub.wait_async(hub.seq() + ahead, timeout_s, [&](w::FramePtr frame) {
+        got_frame = frame != nullptr;
+        fired = true;
+      });
+      EXPECT_TRUE(fired) << "timeout " << timeout_s << " ahead " << ahead;
+      EXPECT_FALSE(got_frame);
+      hub.publish(state_of("density", 1.0), kNoImage);  // nothing parked
+    }
+  }
+  EXPECT_EQ(hub.stats().timeouts, 6u);
+  EXPECT_EQ(hub.stats().waiting, 0u);
 }
 
 TEST(FrameHub, AsyncWaiterTimesOutViaSweeper) {

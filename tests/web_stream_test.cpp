@@ -30,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "decoder_transcript.hpp"
 #include "time_scale.hpp"
 
 #include "net/socket.hpp"
@@ -114,98 +115,22 @@ void set_recv_timeout(int fd, double seconds) {
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }
 
-/// Incremental HTTP/1.1 chunked-transfer decoder. Feed arbitrary slices;
-/// `payload` accumulates de-chunked bytes, `terminated` flips on the
-/// zero-length final chunk.
-struct ChunkDecoder {
-  std::string raw;
-  std::string payload;
-  bool terminated = false;
-  bool error = false;
-
-  void feed(const char* data, std::size_t n) {
-    raw.append(data, n);
-    parse();
-  }
-
-  void parse() {
-    while (!terminated && !error) {
-      const auto line_end = raw.find("\r\n");
-      if (line_end == std::string::npos) return;
-      std::size_t size = 0;
-      try {
-        size = static_cast<std::size_t>(
-            std::stoull(raw.substr(0, line_end), nullptr, 16));
-      } catch (const std::exception&) {
-        error = true;
-        return;
-      }
-      // size line + payload + trailing CRLF must be complete.
-      if (raw.size() < line_end + 2 + size + 2) return;
-      if (raw.compare(line_end + 2 + size, 2, "\r\n") != 0) {
-        error = true;
-        return;
-      }
-      if (size == 0) {
-        terminated = true;
-      } else {
-        payload.append(raw, line_end + 2, size);
-      }
-      raw.erase(0, line_end + 2 + size + 2);
-    }
-  }
-};
-
 /// One SSE event as parsed off the wire.
 struct SseEvent {
   std::uint64_t id = 0;
   std::string data;
 };
 
-/// Splits a de-chunked SSE payload into events (blank-line separated);
-/// keepalive comment lines (": ...") yield no event but are counted.
-struct SseParser {
-  std::string buf;
-  std::vector<SseEvent> events;
-  int keepalives = 0;
-
-  void feed(const std::string& payload) {
-    buf += payload;
-    std::size_t pos;
-    while ((pos = buf.find("\n\n")) != std::string::npos) {
-      const std::string block = buf.substr(0, pos);
-      buf.erase(0, pos + 2);
-      SseEvent ev;
-      bool has_data = false;
-      std::size_t start = 0;
-      while (start <= block.size()) {
-        const auto nl = block.find('\n', start);
-        const std::string line = block.substr(
-            start, nl == std::string::npos ? std::string::npos : nl - start);
-        if (line.rfind("id: ", 0) == 0) {
-          ev.id = std::stoull(line.substr(4));
-        } else if (line.rfind("data: ", 0) == 0) {
-          ev.data = line.substr(6);
-          has_data = true;
-        } else if (!line.empty() && line[0] == ':') {
-          ++keepalives;
-        }
-        if (nl == std::string::npos) break;
-        start = nl + 1;
-      }
-      if (has_data) events.push_back(std::move(ev));
-    }
-  }
-};
-
-/// A raw-socket SSE subscriber: sends the request, then reads and decodes
-/// the chunked event stream until the deadline (or EOF). HttpClient cannot
-/// be used — it has no chunked-transfer support, by design.
+/// A raw-socket SSE subscriber: sends the request, then reads the response
+/// through a ResponseDecoder until the deadline (or EOF).
 struct SseClient {
   int fd = -1;
-  std::string headers;
-  ChunkDecoder decoder;
-  SseParser sse;
+  w::ResponseDecoder decoder;
+  std::vector<SseEvent> events;  // data events, in order
+  int keepalives = 0;
+  bool terminated = false;  // the terminal chunk arrived
+  bool error = false;       // the decoder refused the wire
+
   bool eof = false;
 
   bool open(int port, const std::string& path_and_query, int rcvbuf = 0) {
@@ -228,21 +153,23 @@ struct SseClient {
     }
     if (got < 0) return errno == EAGAIN || errno == EWOULDBLOCK ||
                         errno == EINTR;
-    std::size_t off = 0;
-    if (headers.find("\r\n\r\n") == std::string::npos) {
-      headers.append(chunk, static_cast<std::size_t>(got));
-      const auto end = headers.find("\r\n\r\n");
-      if (end == std::string::npos) return true;
-      const std::string rest = headers.substr(end + 4);
-      headers.resize(end + 4);
-      if (!rest.empty()) decoder.feed(rest.data(), rest.size());
-      off = static_cast<std::size_t>(got);  // already consumed via headers
+    decoder.feed({chunk, static_cast<std::size_t>(got)});
+    for (;;) {
+      const w::ResponseDecoder::Item item = decoder.next();
+      if (item == w::ResponseDecoder::Item::kNeedMore) break;
+      if (item == w::ResponseDecoder::Item::kError) {
+        error = true;
+        break;
+      }
+      if (item == w::ResponseDecoder::Item::kEnd) terminated = true;
+      if (item != w::ResponseDecoder::Item::kEvent) continue;
+      w::ResponseDecoder::Event& event = decoder.event();
+      if (event.keepalive) {
+        ++keepalives;
+      } else if (event.has_data) {
+        events.push_back({event.id, std::move(event.data)});
+      }
     }
-    if (off == 0) decoder.feed(chunk, static_cast<std::size_t>(got));
-    const std::size_t before = sse.events.size();
-    sse.feed(decoder.payload.substr(sse_consumed));
-    sse_consumed = decoder.payload.size();
-    (void)before;
     return true;
   }
 
@@ -260,9 +187,6 @@ struct SseClient {
   ~SseClient() {
     if (fd >= 0) ::close(fd);
   }
-
- private:
-  std::size_t sse_consumed = 0;
 };
 
 std::string read_to_eof(int fd, double timeout_s = 5.0) {
@@ -274,16 +198,6 @@ std::string read_to_eof(int fd, double timeout_s = 5.0) {
     wire.append(chunk, static_cast<std::size_t>(got));
   }
   return wire;
-}
-
-int count_status_lines(const std::string& wire) {
-  int n = 0;
-  std::size_t pos = 0;
-  while ((pos = wire.find("HTTP/1.1 ", pos)) != std::string::npos) {
-    ++n;
-    pos += 9;
-  }
-  return n;
 }
 
 }  // namespace
@@ -320,22 +234,20 @@ TEST(ChunkEncoding, DecoderReassemblesAcrossEveryByteSeam) {
   // Encode a small stream, then re-feed it split at every byte boundary:
   // framing must never depend on chunk boundaries aligning with reads —
   // exactly the situation after a partial write resumes on EPOLLOUT.
-  std::string wire;
+  std::string wire = "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n";
   const std::vector<std::string> payloads = {
-      "id: 1\ndata: {\"seq\":1}\n\n", std::string(300, 'q'), ": keepalive\n\n"};
-  std::string want;
-  for (const auto& p : payloads) {
-    w::detail::append_chunk(wire, p);
-    want += p;
-  }
+      "id: 1\ndata: {\"seq\":1}\n\n", "data: " + std::string(300, 'q'),
+      "\n\n: keepalive\n\n"};
+  for (const auto& p : payloads) w::detail::append_chunk(wire, p);
   w::detail::append_last_chunk(wire);
+  const std::string want = "head 200 chunked [transfer-encoding=chunked]\n"
+                           "event id=1 data={\"seq\":1}\n"
+                           "event data=" + std::string(300, 'q') + "\n"
+                           "event keepalive\nend\n";
+  EXPECT_EQ(ricsa_test::transcript(wire), want);
   for (std::size_t split = 1; split < wire.size(); ++split) {
-    ChunkDecoder decoder;
-    decoder.feed(wire.data(), split);
-    decoder.feed(wire.data() + split, wire.size() - split);
-    ASSERT_FALSE(decoder.error) << "split at " << split;
-    EXPECT_TRUE(decoder.terminated) << "split at " << split;
-    EXPECT_EQ(decoder.payload, want) << "split at " << split;
+    ASSERT_EQ(ricsa_test::transcript_split(wire, split), want)
+        << "split at " << split;
   }
 }
 
@@ -354,7 +266,7 @@ TEST(HttpStream, MultiMegabyteChunkResumesAcrossPartialWrites) {
       "GET", "/big", [&big](const w::HttpRequest&, w::HttpServer::StreamSink sink) {
         sink.begin({{"Content-Type", "application/octet-stream"}});
         if (sink.head_only()) return;
-        sink.chunk(big, [sink] { sink.end(); });
+        sink.chunk("data: " + big + "\n\n", [sink] { sink.end(); });
       });
   const int port = server.start();
 
@@ -376,19 +288,17 @@ TEST(HttpStream, MultiMegabyteChunkResumesAcrossPartialWrites) {
   }
   ::close(fd);
 
-  const auto header_end = wire.find("\r\n\r\n");
-  ASSERT_NE(header_end, std::string::npos);
-  const std::string head = wire.substr(0, header_end + 4);
-  EXPECT_NE(head.find("HTTP/1.1 200"), std::string::npos);
-  EXPECT_NE(head.find("Transfer-Encoding: chunked"), std::string::npos);
-  EXPECT_NE(head.find("Connection: close"), std::string::npos);
-  EXPECT_EQ(head.find("Content-Length"), std::string::npos);
-  ChunkDecoder decoder;
-  decoder.feed(wire.data() + header_end + 4, wire.size() - header_end - 4);
-  EXPECT_FALSE(decoder.error);
-  EXPECT_TRUE(decoder.terminated);
-  EXPECT_EQ(decoder.payload.size(), big.size());
-  EXPECT_EQ(decoder.payload, big);
+  w::ResponseDecoder decoder;
+  decoder.feed(wire);
+  ASSERT_EQ(decoder.next(), w::ResponseDecoder::Item::kHead);
+  EXPECT_EQ(decoder.head().status, 200);
+  EXPECT_TRUE(decoder.head().chunked);
+  EXPECT_TRUE(decoder.head().close);
+  EXPECT_FALSE(decoder.head().has_content_length);
+  ASSERT_EQ(decoder.next(), w::ResponseDecoder::Item::kEvent);
+  EXPECT_EQ(decoder.event().data.size(), big.size());
+  EXPECT_EQ(decoder.event().data, big);
+  EXPECT_EQ(decoder.next(), w::ResponseDecoder::Item::kEnd);
   server.stop();
 }
 
@@ -406,10 +316,11 @@ TEST(HttpStream, BeginThenEndYieldsEmptyTerminatedStream) {
   ASSERT_TRUE(w::detail::write_all(fd, request.data(), request.size()));
   const std::string wire = read_to_eof(fd);
   ::close(fd);
-  const auto header_end = wire.find("\r\n\r\n");
-  ASSERT_NE(header_end, std::string::npos);
   // Nothing but the terminator after the headers, then EOF.
-  EXPECT_EQ(wire.substr(header_end + 4), "0\r\n\r\n");
+  EXPECT_EQ(ricsa_test::transcript(wire),
+            "head 200 chunked close [transfer-encoding=chunked] "
+            "[connection=close]\nend\n");
+  EXPECT_EQ(wire.substr(wire.size() - 5), "0\r\n\r\n");
   server.stop();
 }
 
@@ -466,15 +377,11 @@ TEST(HttpStream, PipelinedBytesBehindStreamAreDiscarded) {
   ASSERT_TRUE(w::detail::write_all(fd, request.data(), request.size()));
   const std::string wire = read_to_eof(fd);
   ::close(fd);
-  EXPECT_EQ(count_status_lines(wire), 1);
-  EXPECT_EQ(wire.find("Content-Length"), std::string::npos);
-  EXPECT_EQ(wire.find("plain"), std::string::npos);
-  const auto header_end = wire.find("\r\n\r\n");
-  ASSERT_NE(header_end, std::string::npos);
-  ChunkDecoder decoder;
-  decoder.feed(wire.data() + header_end + 4, wire.size() - header_end - 4);
-  EXPECT_TRUE(decoder.terminated);
-  EXPECT_EQ(decoder.payload, "data: one\n\ndata: two\n\n");
+  // One response, its two events and the terminal chunk: nothing after.
+  EXPECT_EQ(ricsa_test::transcript(wire),
+            "head 200 chunked close [transfer-encoding=chunked] "
+            "[connection=close] [content-type=text/event-stream]\n"
+            "event data=one\nevent data=two\nend\n");
   EXPECT_EQ(server.requests_served(), 1u);
   server.stop();
 }
@@ -560,7 +467,7 @@ TEST(SseStream, PushesGapFreeFramesBesidePollersWhileSteering) {
     threads.emplace_back([&, i] {
       ASSERT_TRUE(
           streams[i].open(port, "/api/stream?since=0&delta=1&timeout=1"));
-      while (streams[i].sse.events.size() < 12 &&
+      while (streams[i].events.size() < 12 &&
              std::chrono::steady_clock::now() < deadline) {
         if (!streams[i].pump()) break;
       }
@@ -598,7 +505,7 @@ TEST(SseStream, PushesGapFreeFramesBesidePollersWhileSteering) {
 
   EXPECT_GE(fe.steer_count(), 1u);
   for (int i = 0; i < kSse; ++i) {
-    const auto& events = streams[i].sse.events;
+    const auto& events = streams[i].events;
     ASSERT_GE(events.size(), 10u) << "sse client " << i;
     bool saw_delta = false;
     for (std::size_t k = 0; k < events.size(); ++k) {
@@ -639,16 +546,16 @@ TEST(SseStream, StaleCursorAndFullParamResyncWithFullFrame) {
     ASSERT_TRUE(c.open(port, "/api/stream?since=999999&delta=1&timeout=1"));
     const auto deadline =
         std::chrono::steady_clock::now() + ricsa_test::scaled_ms(800);
-    while (c.sse.events.size() < 3 &&
+    while (c.events.size() < 3 &&
            std::chrono::steady_clock::now() < deadline) {
       if (!c.pump()) break;
     }
-    ASSERT_GE(c.sse.events.size(), 2u);
-    const Json first = Json::parse(c.sse.events[0].data);
+    ASSERT_GE(c.events.size(), 2u);
+    const Json first = Json::parse(c.events[0].data);
     EXPECT_LT(first.at("seq").as_number(), 999999.0);
     EXPECT_FALSE(first.at("delta").as_bool());
     EXPECT_TRUE(first.contains("image_b64"));
-    EXPECT_EQ(c.sse.events[1].id, c.sse.events[0].id + 1);
+    EXPECT_EQ(c.events[1].id, c.events[0].id + 1);
   }
 
   // full=1 forces the first event to a full frame even with a live cursor —
@@ -660,16 +567,16 @@ TEST(SseStream, StaleCursorAndFullParamResyncWithFullFrame) {
                                  "&delta=1&full=1&timeout=1"));
     const auto deadline =
         std::chrono::steady_clock::now() + ricsa_test::scaled_ms(800);
-    while (c.sse.events.size() < 2 &&
+    while (c.events.size() < 2 &&
            std::chrono::steady_clock::now() < deadline) {
       if (!c.pump()) break;
     }
-    ASSERT_GE(c.sse.events.size(), 2u);
-    const Json first = Json::parse(c.sse.events[0].data);
+    ASSERT_GE(c.events.size(), 2u);
+    const Json first = Json::parse(c.events[0].data);
     EXPECT_FALSE(first.at("delta").as_bool());
     EXPECT_TRUE(first.contains("image_b64"));
     // Consumed once: the second event reverts to the delta contract.
-    const Json second = Json::parse(c.sse.events[1].data);
+    const Json second = Json::parse(c.events[1].data);
     EXPECT_TRUE(second.at("delta").as_bool());
   }
   fe.stop();
@@ -725,20 +632,20 @@ TEST(SseStream, RelaySkipKeepsTheClientsDeltaBase) {
   }
   const auto deadline =
       std::chrono::steady_clock::now() + ricsa_test::scaled_ms(3000);
-  while (c.sse.events.size() < 2 &&
+  while (c.events.size() < 2 &&
          std::chrono::steady_clock::now() < deadline && c.pump()) {
   }
   std::uint64_t last_id = 2;
-  for (const auto& event : c.sse.events) {
+  for (const auto& event : c.events) {
     const Json body = Json::parse(event.data);
     if (body.at("delta").as_bool()) {
       EXPECT_EQ(body.at("base_seq").as_number(), last_id) << event.data;
     }
     last_id = event.id;
   }
-  ASSERT_EQ(c.sse.events.size(), 2u);
-  EXPECT_EQ(c.sse.events[0].id, 7u);
-  EXPECT_EQ(c.sse.events[1].id, 8u);
+  ASSERT_EQ(c.events.size(), 2u);
+  EXPECT_EQ(c.events[0].id, 7u);
+  EXPECT_EQ(c.events[1].id, 8u);
   relay.stop();
 }
 
@@ -757,8 +664,8 @@ TEST(SseStream, KeepaliveCommentsFlowDuringQuietPeriods) {
   ASSERT_TRUE(c.open(port, "/api/stream?delta=1&timeout=0.1"));
   c.run_until(std::chrono::steady_clock::now() +
               ricsa_test::scaled_ms(1000));
-  EXPECT_GE(c.sse.keepalives, 1);
-  EXPECT_GE(c.sse.events.size(), 1u);
+  EXPECT_GE(c.keepalives, 1);
+  EXPECT_GE(c.events.size(), 1u);
   fe.stop();
 }
 
@@ -796,8 +703,8 @@ TEST(SseStream, SlowConsumerDowngradedMidStream) {
     std::size_t scanned = 0;
     while (std::chrono::steady_clock::now() < deadline) {
       if (!c.pump(fast ? 65536 : 256)) break;
-      for (; scanned < c.sse.events.size(); ++scanned) {
-        const Json body = Json::parse(c.sse.events[scanned].data);
+      for (; scanned < c.events.size(); ++scanned) {
+        const Json body = Json::parse(c.events[scanned].data);
         const std::string tier = body.at("tier").as_string();
         if (tier == "half" || tier == "state") saw_cheap_tier = true;
       }
@@ -838,7 +745,7 @@ TEST(SseStream, SlowConsumerDowngradedMidStream) {
   // The shared session table reports the stream client like any poller
   // would appear: sessions created by a stream, samples from its drains.
   EXPECT_GT(delivered, 0.0);
-  EXPECT_TRUE(saw_cheap_tier.load()) << c.sse.events.size() << " events";
+  EXPECT_TRUE(saw_cheap_tier.load()) << c.events.size() << " events";
   fe.stop();
 }
 
@@ -852,11 +759,11 @@ TEST(SseStream, RegistryShutdownEndsStreamCleanly) {
   ASSERT_TRUE(c.open(port, "/api/stream?since=0&delta=1&timeout=1"));
   const auto deadline =
       std::chrono::steady_clock::now() + ricsa_test::scaled_ms(800);
-  while (c.sse.events.empty() &&
+  while (c.events.empty() &&
          std::chrono::steady_clock::now() < deadline) {
     ASSERT_TRUE(c.pump());
   }
-  ASSERT_GE(c.sse.events.size(), 1u);
+  ASSERT_GE(c.events.size(), 1u);
 
   // Shutting the registry down completes the parked hub wait with the
   // shutdown verdict; the stream must end with the terminal chunk and EOF
@@ -868,8 +775,8 @@ TEST(SseStream, RegistryShutdownEndsStreamCleanly) {
     c.pump();
   }
   EXPECT_TRUE(c.eof);
-  EXPECT_TRUE(c.decoder.terminated);
-  EXPECT_FALSE(c.decoder.error);
+  EXPECT_TRUE(c.terminated);
+  EXPECT_FALSE(c.error);
   fe.stop();
 }
 
@@ -931,11 +838,11 @@ TEST(SseStream, StopDuringActiveStreamWithInFlightChunksIsClean) {
   ASSERT_TRUE(c.open(port, "/api/stream?since=0&delta=1&timeout=1"));
   const auto deadline =
       std::chrono::steady_clock::now() + ricsa_test::scaled_ms(3000);
-  while (c.sse.events.empty() &&
+  while (c.events.empty() &&
          std::chrono::steady_clock::now() < deadline) {
     ASSERT_TRUE(c.pump());
   }
-  ASSERT_GE(c.sse.events.size(), 1u);  // the stream is live mid-teardown
+  ASSERT_GE(c.events.size(), 1u);  // the stream is live mid-teardown
 
   fe->stop();
   fe.reset();  // destruction directly behind stop: the harshest ordering
@@ -948,5 +855,5 @@ TEST(SseStream, StopDuringActiveStreamWithInFlightChunksIsClean) {
     c.pump();
   }
   EXPECT_TRUE(c.eof);
-  EXPECT_FALSE(c.decoder.error);
+  EXPECT_FALSE(c.error);
 }
