@@ -1022,15 +1022,14 @@ int main(int argc, char** argv) {
   }
   // The shard scenario's view namespace: the default "main" view plus three
   // fixed projections, each published into its own hub shard every frame.
-  // Small images and a bounded raw window keep 4x per-frame rendering CI-
-  // sized; fine tiles keep the delta protocol engaged on every shard.
+  // Small images keep 4x per-frame rendering CI-sized; fine tiles keep the
+  // delta protocol engaged on every shard.
   std::vector<std::string> shard_views = {"main"};
   if (scenario == "shard") {
     config.session.viz.isovalue = 1.1f;
     config.session.viz.image_width = 64;
     config.session.viz.image_height = 64;
     config.tile_size = 16;
-    config.raw_window = 32;
     const float azimuths[3] = {1.6f, 2.8f, 4.1f};
     const char* names[3] = {"rho/iso", "pressure/iso", "energy/iso"};
     for (int v = 0; v < 3; ++v) {

@@ -35,9 +35,6 @@ int main(int argc, char** argv) {
   // ship as a handful of tiles onto the dashboard's canvas instead of a
   // full PNG per frame.
   config.tile_size = 24;
-  // Bound raw-framebuffer retention: tile encodes stay for the whole
-  // window, the pixels only for the frames a live skipper can anchor on.
-  config.raw_window = 32;
   config.port = port;
   // A second published view: the same simulation step rendered as an
   // isosurface from another camera, into its own hub shard. The dashboard's

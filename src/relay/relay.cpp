@@ -11,11 +11,15 @@
 namespace ricsa::relay {
 namespace {
 
+/// Hub fan-out and HTTP route-handler worker threads of a relay node.
+constexpr std::size_t kHubWorkers = 2;
+constexpr std::size_t kHttpWorkers = 2;
+
 web::HubRegistry::Config registry_config(const RelayNodeConfig& config,
                                          net::Reactor* reactor) {
   web::HubRegistry::Config out;
   out.hub.window = config.frame_window;
-  out.hub.workers = config.hub_workers;
+  out.hub.workers = kHubWorkers;
   out.hub.max_wait_s = config.poll_timeout_s;
   out.hub.reactor = reactor;
   if (!config.subscriber.views.empty()) {
@@ -92,7 +96,7 @@ int RelayNode::start() {
   server_.route("POST", "/api/view", [this](const web::HttpRequest& r) {
     return forward_post(r, "/api/view");
   });
-  server_.set_workers(config_.http_workers);
+  server_.set_workers(kHttpWorkers);
   server_.set_reactors(config_.reactors);
   server_.set_max_connections(config_.max_connections);
   // Never kill a legal long-poll mid-wait (same derivation as the origin).

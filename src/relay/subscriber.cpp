@@ -6,6 +6,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
+#include <stdexcept>
 #include <string_view>
 
 #include "net/socket.hpp"
@@ -51,6 +52,13 @@ bool splice_u64(std::string& body, std::string_view key, std::uint64_t value) {
   return true;
 }
 
+/// Supervisor respawn schedule for *failed* subscriptions (cycle / depth
+/// cap / 409 rejection): initial * 2^(restarts-1), capped. Much longer than
+/// the reconnect backoff — a structural failure usually needs the upstream
+/// topology to change before a retry can succeed.
+constexpr double kRespawnInitialS = 0.5;
+constexpr double kRespawnMaxS = 10.0;
+
 /// Delay before retry number `attempt` (1-based): initial * 2^(attempt-1),
 /// capped — the schedule of both reconnects and supervisor respawns.
 double capped_backoff_s(double initial_s, double max_s, int attempt) {
@@ -90,6 +98,7 @@ struct RelaySubscriber::Conn : net::EventHandler {
   bool failed = false;         // failing now (loop-thread mirror)
   std::uint64_t since_up = 0;     // upstream cursor (last seq consumed)
   std::uint64_t last_local = 0;   // local hub seq of our last publish
+  util::Json state;  // the view's monitoring state as of our last publish
 
   int failures = 0;  // consecutive connect/IO failures (backoff exponent)
   int respawns = 0;  // consecutive supervisor respawns (backoff exponent)
@@ -280,8 +289,8 @@ void RelaySubscriber::schedule_respawn(Conn* c) {
   if (stopped_.load() || c->retry_timer != 0) return;
   c->respawns = std::min(c->respawns + 1, 16);
   c->retry_timer =
-      reactor_.run_after(capped_backoff_s(config_.respawn_initial_s,
-                                          config_.respawn_max_s, c->respawns),
+      reactor_.run_after(capped_backoff_s(kRespawnInitialS, kRespawnMaxS,
+                                          c->respawns),
                          [this, c] {
         c->retry_timer = 0;
         if (stopped_.load()) return;
@@ -520,7 +529,24 @@ void RelaySubscriber::publish_body(Conn* c, std::string body, bool is_full,
   const std::uint64_t local = c->last_local + 1;
   splice_u64(body, "\"seq\":", local);
   if (has_base) splice_u64(body, "\"base_seq\":", c->last_local);
+  // The view's /api/state: a full body's state replaces it, a delta's
+  // overwrites the keys it carries (a key delta carries only the changed
+  // ones). A body that is not JSON is still forwarded verbatim; the state
+  // then stays as it was.
+  try {
+    util::Json parsed = util::Json::parse(body);
+    util::Json& frame_state = parsed["state"];
+    if (is_full || !frame_state.is_object()) {
+      c->state = std::move(frame_state);
+    } else {
+      for (auto& [key, value] : frame_state.as_object()) {
+        c->state[key] = std::move(value);
+      }
+    }
+  } catch (const std::runtime_error&) {
+  }
   web::FrameHub::PreEncoded pre;
+  pre.state = c->state;
   if (is_full) {
     pre.full_body = std::move(body);
   } else {

@@ -74,12 +74,6 @@ struct SubscriberConfig {
   /// Reconnect backoff schedule: initial * 2^failures, capped.
   double backoff_initial_s = 0.05;
   double backoff_max_s = 2.0;
-  /// Supervisor respawn schedule for *failed* subscriptions (cycle /
-  /// depth cap / 409 rejection): initial * 2^(restarts-1), capped. Much
-  /// longer than the reconnect backoff — a structural failure usually
-  /// needs the upstream topology to change before a retry can succeed.
-  double respawn_initial_s = 0.5;
-  double respawn_max_s = 10.0;
 };
 
 /// Per-view forwarding counters (loop-thread owned, snapshotted for stats).

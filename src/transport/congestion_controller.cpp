@@ -140,7 +140,10 @@ double TrendlineController::update(const CongestionSample& sample) {
     }
     slope_ = den > 0.0 ? num / den : 0.0;
   }
-  if (slope_ > kSlopeThreshold) {
+  if (overusing_ && window_.size() < 3) {
+    // The window is rebuilding after a decrease and holds no trend yet:
+    // hold the rate and keep the overuse verdict until a slope is fitted.
+  } else if (slope_ > kSlopeThreshold) {
     overusing_ = true;
     // GCC's decrease acts on the *incoming-rate estimate*, not the target:
     // beta times what the path actually delivered. Decreasing the target

@@ -11,6 +11,10 @@ namespace ricsa::util {
 namespace {
 const Json kNullJson{};
 
+/// Deepest array/object nesting parse() accepts: parsing recurses once
+/// per level, so a peer's run of brackets must not exhaust the stack.
+constexpr int kMaxDepth = 512;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -69,8 +73,13 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxDepth) fail("nesting too deep");
+        Json v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -196,6 +205,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 void dump_string(const std::string& s, std::string& out) {
@@ -223,8 +233,10 @@ void dump_string(const std::string& s, std::string& out) {
 }
 
 void dump_number(double d, std::string& out) {
-  if (d == static_cast<double>(static_cast<std::int64_t>(d)) &&
-      std::abs(d) < 1e15) {
+  // Range check first: converting a double outside int64's range is
+  // undefined behaviour.
+  if (std::abs(d) < 1e15 &&
+      d == static_cast<double>(static_cast<std::int64_t>(d))) {
     out += std::to_string(static_cast<std::int64_t>(d));
   } else {
     char buf[32];

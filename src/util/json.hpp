@@ -58,7 +58,8 @@ class Json {
   std::string dump(int indent = -1) const;
 
   /// Parse a complete JSON document. Throws std::runtime_error on malformed
-  /// input with a byte-offset diagnostic.
+  /// input with a byte-offset diagnostic, and on arrays/objects nested
+  /// more than 512 deep.
   static Json parse(std::string_view text);
 
   friend bool operator==(const Json& a, const Json& b) { return a.value_ == b.value_; }

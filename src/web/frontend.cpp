@@ -295,14 +295,12 @@ HubRegistry::Config registry_config_of(const FrontEndConfig& config,
                                        net::Reactor* reactor) {
   HubRegistry::Config registry;
   registry.hub.window = config.frame_window;
-  registry.hub.raw_window = config.raw_window;
   registry.hub.workers = config.hub_workers;
   registry.hub.max_wait_s = config.poll_timeout_s;
   registry.hub.tile_size = config.tile_size;
   registry.hub.reactor = reactor;
   registry.pacing = config.pacing;
   registry.pacing.frame_interval_s = config.frame_interval_s;
-  registry.idle_reap_s = config.view_idle_reap_s;
   return registry;
 }
 

@@ -60,15 +60,10 @@ struct FrontEndConfig {
   /// Frames retained for catch-up replay (gap-free streams for clients that
   /// fall at most this many frames behind).
   std::size_t frame_window = 128;
-  /// Frames that keep raw framebuffers for cursor-anchored tile deltas
-  /// (0 = the whole window); see FrameHub::Config::raw_window.
-  std::size_t raw_window = 0;
   /// Extra views rendered and published per frame, each into its own hub
   /// shard. The default view ("main") always exists and follows the
   /// steerable request/camera; these are fixed projections.
   std::vector<ViewSpec> views;
-  /// Idle-shard reaping horizon for the registry (0 disables).
-  double view_idle_reap_s = 300.0;
   /// Hub fan-out worker threads.
   std::size_t hub_workers = 4;
   /// HTTP route-handler worker threads. Together with hub_workers, the

@@ -481,13 +481,9 @@ HttpServer::HttpServer() = default;
 HttpServer::~HttpServer() { stop(); }
 
 void HttpServer::route(const std::string& method, const std::string& path,
-                       Handler handler, bool prefix) {
+                       Handler handler) {
   std::lock_guard<std::mutex> lock(routes_mutex_);
-  if (prefix) {
-    prefix_.emplace_back(method, path, std::move(handler));
-  } else {
-    exact_[{method, path}] = std::move(handler);
-  }
+  exact_[{method, path}] = std::move(handler);
 }
 
 void HttpServer::route_async(const std::string& method, const std::string& path,
@@ -878,12 +874,6 @@ void HttpServer::dispatch(const std::shared_ptr<Connection>& conn,
         handler = jt->second;
         return true;
       }
-      for (const auto& [m, prefix, h] : prefix_) {
-        if (m == method && util::starts_with(request.path, prefix)) {
-          handler = h;
-          return true;
-        }
-      }
       return false;
     };
     // HEAD falls back to the GET route with the body suppressed. For a
@@ -899,9 +889,6 @@ void HttpServer::dispatch(const std::shared_ptr<Connection>& conn,
       }
       for (const auto& [key, h] : stream_) {
         if (key.second == request.path) methods.insert(key.first);
-      }
-      for (const auto& [m, prefix, h] : prefix_) {
-        if (util::starts_with(request.path, prefix)) methods.insert(m);
       }
       if (methods.count("GET")) methods.insert("HEAD");
       for (const std::string& m : methods) {

@@ -53,7 +53,6 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -189,11 +188,10 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Route an exact path for a method ("GET", "POST"). Longest-prefix
-  /// fallback routes can be added with `prefix = true`. HEAD requests fall
+  /// Route an exact path for a method ("GET", "POST"). HEAD requests fall
   /// back to the matching GET route with the body suppressed.
   void route(const std::string& method, const std::string& path,
-             Handler handler, bool prefix = false);
+             Handler handler);
 
   /// Route whose handler completes asynchronously via the ResponseSink.
   void route_async(const std::string& method, const std::string& path,
@@ -305,7 +303,6 @@ class HttpServer {
   std::map<std::pair<std::string, std::string>, Handler> exact_;
   std::map<std::pair<std::string, std::string>, AsyncHandler> async_;
   std::map<std::pair<std::string, std::string>, StreamHandler> stream_;
-  std::vector<std::tuple<std::string, std::string, Handler>> prefix_;
   std::mutex routes_mutex_;
 
   /// The event loops. Reactor 0 exists from construction (pre-start timer

@@ -106,17 +106,22 @@ FrameHub::~FrameHub() { shutdown(); }
 
 std::uint64_t FrameHub::publish(util::Json state, const viz::Image& image,
                                 bool build_half) {
-  // An empty image publishes an image-less frame: no raws, no PNGs.
-  std::shared_ptr<const viz::Image> raw_full;
-  std::shared_ptr<const viz::Image> raw_half;
+  // An empty image publishes an image-less frame: no pixels, no PNGs.
+  // raws[t] stays empty for a tier without pixels this frame.
+  std::array<viz::Image, kImageTierCount> raws;
   std::vector<std::uint8_t> png;
   std::vector<std::uint8_t> png_half;
+  EncodeCost cost;
   if (image.width() > 0 && image.height() > 0) {
-    raw_full = std::make_shared<const viz::Image>(image);
-    png = raw_full->encode_png();
+    raws[0] = image;
+    png = image.encode_png();
+    cost.bytes_in += image.bytes();
+    cost.bytes_out += png.size();
     if (build_half) {
-      raw_half = std::make_shared<const viz::Image>(viz::downsample(image, 2));
-      png_half = raw_half->encode_png();
+      raws[1] = viz::downsample(image, 2);
+      png_half = raws[1].encode_png();
+      cost.bytes_in += raws[1].bytes();
+      cost.bytes_out += png_half.size();
     }
   }
 
@@ -126,7 +131,6 @@ std::uint64_t FrameHub::publish(util::Json state, const viz::Image& image,
   // behind a frame build. Readers see seq_ and window_ change together below.
   std::lock_guard<std::mutex> publishing(publish_mutex_);
   FramePtr prev = latest();
-  EncodeCost cost;
 
   auto frame = std::make_shared<Frame>();
   frame->seq = (prev ? prev->seq : 0) + 1;
@@ -152,39 +156,29 @@ std::uint64_t FrameHub::publish(util::Json state, const viz::Image& image,
         frame->state.is_object() ? frame->state.as_object().size() : 0;
   }
 
-  // Tile-delta pass, per image tier: diff the raw framebuffer against the
-  // predecessor's on a fixed tile grid and PNG-encode only the dirty tiles
-  // — once per frame per tier, shared by every client whose delta includes
-  // the tile (sequential *and* cursor-anchored skippers).
-  frame->tiles[0].set_raw(raw_full);
-  frame->tiles[1].set_raw(raw_half);
-  const std::array<std::shared_ptr<const viz::Image>, kImageTierCount> raws = {
-      raw_full, raw_half};
+  // Tile-delta pass, per image tier: diff the raw image against the
+  // tier's reference (the previous frame's pixels) on a fixed tile grid and
+  // PNG-encode only the dirty tiles — once per frame per tier, shared by
+  // every client whose delta includes the tile (sequential *and*
+  // cursor-anchored skippers). The image then becomes the next reference.
   for (std::size_t t = 0; t < kImageTierCount; ++t) {
     Frame::TileData& td = frame->tiles[t];
-    const std::shared_ptr<const viz::Image>& raw = raws[t];
-    if (!raw) continue;
-    // The predecessor's raw may already have been dropped (raw_window):
-    // then there is no diff reference and this frame stays full_change.
-    const std::shared_ptr<const viz::Image> prev_raw =
-        prev ? prev->tiles[t].raw() : nullptr;
-    if (!prev_raw || prev_raw->width() != raw->width() ||
-        prev_raw->height() != raw->height()) {
+    const viz::Image ref = std::exchange(diff_ref_[t], std::move(raws[t]));
+    const viz::Image& raw = diff_ref_[t];
+    td.width = raw.width();
+    td.height = raw.height();
+    if (raw.width() == 0 || ref.width() != raw.width() ||
+        ref.height() != raw.height()) {
       continue;  // no reference: stays full_change
     }
-    const viz::TileGrid grid(raw->width(), raw->height(), config_.tile_size);
-    td.dirty = grid.diff(*prev_raw, *raw);
+    const viz::TileGrid grid(raw.width(), raw.height(), config_.tile_size);
+    td.dirty = grid.diff(ref, raw);
     if (grid.dirty_fraction(td.dirty) >= kFullTileFraction) {
       td.dirty.clear();
       continue;  // most of the frame changed: full image is the delta
     }
     td.full_change = false;
-    if (grid.dirty_count(td.dirty) == 0) {
-      // Byte-identical pixels: share the predecessor's buffer so a
-      // converged simulation retains one framebuffer, not window-many.
-      td.set_raw(prev_raw);
-      continue;
-    }
+    if (grid.dirty_count(td.dirty) == 0) continue;  // image unchanged
     // Coalesce adjacent dirty tiles into maximal rectangles and encode
     // each rect once — fewer, larger PNGs amortize the per-payload
     // PNG/base64/JSON overhead and give DEFLATE longer runs to bite on.
@@ -193,7 +187,7 @@ std::uint64_t FrameHub::publish(util::Json state, const viz::Image& image,
     td.tile_rect.assign(grid.count(), -1);
     for (std::size_t r = 0; r < td.rects.size(); ++r) {
       const viz::TileRect& rc = td.rects[r];
-      const viz::Image patch = viz::TileGrid::extract(*raw, rc);
+      const viz::Image patch = viz::TileGrid::extract(raw, rc);
       const std::vector<std::uint8_t> png_bytes = patch.encode_png();
       cost.bytes_in += patch.bytes();
       cost.bytes_out += png_bytes.size();
@@ -220,14 +214,6 @@ std::uint64_t FrameHub::publish(util::Json state, const viz::Image& image,
       frame->png_half.empty() ? std::string()
                               : util::base64_encode(frame->png_half);
   cost.encodes += (b64_full.empty() ? 0 : 1) + (b64_half.empty() ? 0 : 1);
-  if (raw_full && !frame->png.empty()) {
-    cost.bytes_in += raw_full->bytes();
-    cost.bytes_out += frame->png.size();
-  }
-  if (raw_half && !frame->png_half.empty()) {
-    cost.bytes_in += raw_half->bytes();
-    cost.bytes_out += frame->png_half.size();
-  }
   const std::string none;
   for (std::size_t t = 0; t < kTierCount; ++t) {
     const Tier tier = static_cast<Tier>(t);
@@ -254,7 +240,7 @@ std::uint64_t FrameHub::publish(util::Json state, const viz::Image& image,
       }
       frame->bodies[t].delta =
           render_tiles_body(frame->seq, tier, delta_state, frame->seq - 1,
-                            raws[t]->width(), raws[t]->height(), tiles);
+                            td.width, td.height, tiles);
     } else {
       frame->bodies[t].delta =
           render_body(frame->seq, tier, delta_state,
@@ -268,12 +254,14 @@ std::uint64_t FrameHub::publish(util::Json state, const viz::Image& image,
 std::uint64_t FrameHub::publish_encoded(PreEncoded pre) {
   // The relay's forwarding path: no pixels, no PNG, no base64 — the wire
   // bodies the caller received upstream become this frame's serve-time
-  // bodies. The frame carries no raw framebuffers, so cursor-anchored
-  // deltas decline (delta_body_for returns empty) and skipping clients
-  // fall back to the full body — or, when this frame has none, to the
-  // relay's resync-escalation path.
+  // bodies. The frame carries no tile data, so cursor-anchored deltas
+  // decline (delta_body_for returns empty) and skipping clients fall back
+  // to the full body — or, when this frame has none, to the relay's
+  // resync-escalation path. No pixels were published: the next frame on
+  // each image tier has no diff reference.
   std::lock_guard<std::mutex> publishing(publish_mutex_);
   FramePtr prev = latest();
+  for (viz::Image& ref : diff_ref_) ref = viz::Image();
 
   auto frame = std::make_shared<Frame>();
   frame->seq = (prev ? prev->seq : 0) + 1;
@@ -296,25 +284,6 @@ std::uint64_t FrameHub::commit_frame(std::shared_ptr<Frame> frame,
     seq_ = frame->seq;
     window_.push_back(frame);
     while (window_.size() > config_.window) window_.pop_front();
-    // Bounded raw retention: the frame that just crossed the raw window
-    // loses its framebuffers (O(1): seq_ advances by one per publish, so
-    // exactly one frame crosses the boundary — everything older was
-    // dropped by earlier publishes, and frames trimmed off the window
-    // free their raws with the Frame itself) while keeping its tile
-    // encodes. delta_body_for then declines cursors older than the raw
-    // window — full-frame fallback — but sequential clients keep tile
-    // deltas from the prebuilt bodies.
-    if (config_.raw_window > 0 && seq_ > config_.raw_window) {
-      const std::uint64_t boundary = seq_ - config_.raw_window;
-      const std::uint64_t oldest = window_.front()->seq;
-      if (boundary >= oldest) {
-        const Frame& aged =
-            *window_[static_cast<std::size_t>(boundary - oldest)];
-        for (std::size_t t = 0; t < kImageTierCount; ++t) {
-          aged.tiles[t].drop_raw();
-        }
-      }
-    }
 
     const auto now = std::chrono::steady_clock::now();
     std::vector<std::pair<std::function<void(FramePtr)>, FramePtr>> satisfied;
@@ -391,10 +360,6 @@ std::string FrameHub::delta_body_for(const FramePtr& frame,
                                      std::uint64_t since, Tier tier) const {
   if (!frame || tier == Tier::kStateOnly || frame->seq <= since) return {};
   const std::size_t t = static_cast<std::size_t>(tier);
-  // Snapshot the atomic raw pointers once: the publisher may drop them
-  // concurrently (raw_window), and a diff must run against a stable buffer.
-  const std::shared_ptr<const viz::Image> cur_raw = frame->tiles[t].raw();
-  if (!cur_raw) return {};
   // Snapshot the frame chain [since, frame->seq] out of the window. The
   // window holds a contiguous seq range, so retaining the cursor frame
   // means every intermediate frame is retained too.
@@ -409,45 +374,38 @@ std::string FrameHub::delta_body_for(const FramePtr& frame,
       chain.push_back(window_[static_cast<std::size_t>(s - oldest)]);
     }
   }
-  const std::shared_ptr<const viz::Image> base_raw =
-      chain.front()->tiles[t].raw();
-  if (!base_raw || base_raw->width() != cur_raw->width() ||
-      base_raw->height() != cur_raw->height()) {
-    // The cursor frame never carried this tier's pixels (e.g. the half
-    // image was not built then, the client's last body was actually a tier
-    // fallback, or the cursor fell behind the raw window and the reference
-    // buffer was dropped), or the canvas was resized since: no valid
-    // reference.
-    return {};
-  }
   // A full-change frame anywhere in the skipped range means tiles changed
   // there are unaccounted for — the newest-dirty-wins lookup below would
-  // hand out stale tile content.
+  // hand out stale tile content. That includes a cursor frame that never
+  // carried this tier's pixels (the half image was not built then, or the
+  // client's last body was a tier fallback) and a resized canvas: the
+  // frame after it had no same-size reference.
   for (std::size_t i = 1; i < chain.size(); ++i) {
     if (chain[i]->tiles[t].full_change) return {};
   }
-  const viz::TileGrid grid(cur_raw->width(), cur_raw->height(),
-                           config_.tile_size);
-  // The cursor-anchored dirty set: diff the client's actual cursor frame
-  // against the served one. Tighter than the union of per-frame dirty sets
-  // (a tile that changed and changed back drops out entirely).
-  const viz::TileSet dirty = grid.diff(*base_raw, *cur_raw);
-  if (grid.dirty_fraction(dirty) >= kFullTileFraction) return {};
-
-  // Per-tile newest changer across the skipped range: that frame's rect
-  // holds the tile's current content (nothing newer touched it) — and its
-  // publish-time encode.
+  const Frame::TileData& cur = frame->tiles[t];
+  const viz::TileGrid grid(cur.width, cur.height, config_.tile_size);
+  // The cursor-anchored dirty set is the union of the per-frame dirty sets
+  // over the skipped range: a tile outside it never changed after the
+  // cursor frame, so the client's canvas already holds it. Per tile, the
+  // newest changer's rect holds the tile's current content (nothing newer
+  // touched it) — and its publish-time encode.
+  viz::TileSet dirty(grid.count(), 0);
   std::vector<std::size_t> newest(grid.count(), 0);  // 0 = no changer
   for (std::size_t j = 1; j < chain.size(); ++j) {
     const Frame::TileData& td = chain[j]->tiles[t];
     const std::size_t lim = std::min(td.dirty.size(), grid.count());
     for (std::size_t i = 0; i < lim; ++i) {
-      if (td.dirty[i] != 0) newest[i] = j;
+      if (td.dirty[i] != 0) {
+        dirty[i] = 1;
+        newest[i] = j;
+      }
     }
   }
+  if (grid.dirty_fraction(dirty) >= kFullTileFraction) return {};
 
   // Coalesced rects cover whole groups of tiles, so shipping the newest
-  // changer's rect for each cursor-dirty tile can drag in neighbor tiles
+  // changer's rect for each dirty tile can drag in neighbor tiles
   // whose content moved on in a later frame. Close over coverage: whenever
   // an included rect covers a tile whose newest changer is a *newer*
   // frame, that frame's rect ships too — composited afterwards (ascending
@@ -457,7 +415,6 @@ std::string FrameHub::delta_body_for(const FramePtr& frame,
   std::vector<std::pair<std::size_t, std::size_t>> work;
   const auto include = [&](std::size_t tile_idx) -> bool {
     const std::size_t j = newest[tile_idx];
-    if (j == 0) return false;  // inconsistent bookkeeping: full fallback
     const Frame::TileData& td = chain[j]->tiles[t];
     if (tile_idx >= td.tile_rect.size() || td.tile_rect[tile_idx] < 0) {
       return false;
@@ -501,8 +458,8 @@ std::string FrameHub::delta_body_for(const FramePtr& frame,
   }
   // Full state, not a key delta: the client skipped the intermediate frames
   // and has nothing valid to merge into.
-  return render_tiles_body(frame->seq, tier, frame->state, since,
-                           cur_raw->width(), cur_raw->height(), tiles);
+  return render_tiles_body(frame->seq, tier, frame->state, since, cur.width,
+                           cur.height, tiles);
 }
 
 std::uint64_t FrameHub::seq() const {

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -58,8 +57,9 @@ const char* tier_name(Tier tier);
 /// kHalf. kStateOnly has no image.
 inline constexpr std::size_t kImageTierCount = 2;
 
-/// One published monitoring frame. Immutable after publish; shared between
-/// the hub's retention window and every in-flight response.
+/// One published monitoring frame. Immutable once published (built by the
+/// publisher, then only read); shared between the hub's retention window
+/// and every in-flight response. It holds encodes, never raw pixels.
 struct Frame {
   std::uint64_t seq = 0;
   util::Json state;                     // full monitoring state (JSON object)
@@ -77,13 +77,10 @@ struct Frame {
   };
   std::array<Body, kTierCount> bodies;
 
-  /// Tile-delta data for one image tier. The raw framebuffer is retained
-  /// while the frame sits inside the hub's raw window (Config::raw_window;
-  /// by default the whole retention window), so poll completions can diff a
-  /// retained cursor frame against the served one — the cursor-anchored
-  /// delta that lets paced/skipping clients receive tiles instead of full
-  /// bodies. Frames carrying an unchanged image share the predecessor's raw
-  /// buffer instead of copying it.
+  /// Tile-delta data for one image tier: the dirty tiles vs the
+  /// predecessor and their publish-time encodes. No pixels are kept: a
+  /// cursor-anchored delta (delta_body_for) unions the stored dirty sets
+  /// over the skipped range.
   struct TileData {
     viz::TileSet dirty;  // dirty tiles vs the predecessor
     /// Coalesced dirty rectangles (TileGrid::coalesce over `dirty`): each
@@ -92,37 +89,21 @@ struct Frame {
     /// cursor-anchored rect closure in delta_body_for relies on.
     std::vector<viz::TileRect> rects;
     /// base64(PNG) per entry of `rects`. One encode per coalesced rect per
-    /// frame, shared by every client whose delta includes it. Kept for the
-    /// frame's whole window lifetime even after the raw buffer is dropped:
-    /// the prebuilt sequential delta body needs no raw pixels at serve time.
+    /// frame, shared by every client whose delta includes it.
     std::vector<std::string> rect_b64;
     /// Tile index -> index into `rects` of the rect covering it, or -1 for
     /// clean tiles. Sized to the grid when rects exist, empty otherwise.
     std::vector<std::int32_t> tile_rect;
+    /// This tier's image dimensions (0 when no pixels were published for
+    /// it): enough to rebuild the tile grid without the pixels.
+    int width = 0;
+    int height = 0;
     /// No usable per-tile delta vs the predecessor exists (first frame,
     /// dimension change, dirty area above the fallback threshold, or the
-    /// predecessor had no raw for this tier). Cursor-anchored deltas whose
-    /// range crosses such a frame must fall back to a full image.
+    /// predecessor published no pixels for this tier). Cursor-anchored
+    /// deltas whose range crosses such a frame must fall back to a full
+    /// image.
     bool full_change = true;
-
-    /// Raw framebuffer snapshot; null when no pixels were published for
-    /// this tier or the frame aged past the raw window. The one mutable
-    /// exception to Frame immutability: the publisher drops it early
-    /// (bounded raw retention) while poll completions may be reading it, so
-    /// access goes through an atomic shared_ptr.
-    std::shared_ptr<const viz::Image> raw() const {
-      return raw_.load(std::memory_order_acquire);
-    }
-    void set_raw(std::shared_ptr<const viz::Image> image) {
-      raw_.store(std::move(image), std::memory_order_release);
-    }
-    /// Publisher-side early release once the frame leaves the raw window.
-    /// `const` because retained frames are shared as `const Frame` — the
-    /// raw buffer is cache, not contract: readers must tolerate null.
-    void drop_raw() const { raw_.store(nullptr, std::memory_order_release); }
-
-   private:
-    mutable std::atomic<std::shared_ptr<const viz::Image>> raw_;
   };
   std::array<TileData, kImageTierCount> tiles;
 
@@ -177,15 +158,6 @@ class FrameHub {
     /// (AjaxFrontEnd stops the HTTP server first, which guarantees it).
     /// Null makes the hub start and own a one-thread loop of its own.
     net::Reactor* reactor = nullptr;
-    /// Frames that keep their raw framebuffers (0 = the whole window). Raw
-    /// retention is what makes hub memory scale as `window × W×H×4` per
-    /// image tier; capping it separately drops the pixels early while
-    /// keeping the per-frame tile encodes, so sequential clients still get
-    /// tile deltas from the prebuilt bodies at any window size. Cursor-
-    /// anchored deltas need the *cursor frame's* raw buffer as reference,
-    /// so clients skipping further back than this fall back to a full
-    /// frame (delta_body_for declines).
-    std::size_t raw_window = 0;
   };
 
   struct Stats {
@@ -262,15 +234,15 @@ class FrameHub {
 
   /// Render a delta poll body for serving `frame` at `tier` to a client
   /// whose last composited frame is `since` — the cursor-anchored delta:
-  /// the dirty-tile set is diffed against the client's *actual* cursor
-  /// frame (not just the predecessor), so paced/skipping clients receive
-  /// only the tiles that changed across the whole skipped range. Every tile
-  /// payload is a pre-encoded publish-time string; no per-client encoding
-  /// happens here. Returns an empty string whenever no valid tile delta
-  /// exists — cursor frame aged out of the window, raw framebuffer missing
-  /// for the tier, a full-change frame inside the range, or dirty area at
-  /// or above the full-frame threshold — in which case the caller serves
-  /// the full body.
+  /// the dirty-tile set is the union of the stored per-frame dirty sets
+  /// over (since, frame->seq], so paced/skipping clients receive only the
+  /// tiles that changed across the whole skipped range. Every tile payload
+  /// is a pre-encoded publish-time string; no per-client encoding happens
+  /// here. Returns an empty string whenever no valid tile delta exists —
+  /// cursor frame aged out of the window, a full-change frame inside the
+  /// range (which covers a cursor frame without this tier's pixels), or
+  /// dirty area at or above the full-frame threshold — in which case the
+  /// caller serves the full body.
   std::string delta_body_for(const FramePtr& frame, std::uint64_t since,
                              Tier tier) const;
   std::uint64_t seq() const;
@@ -327,8 +299,8 @@ class FrameHub {
     std::uint64_t bytes_out = 0;  // PNG bytes produced
   };
 
-  /// Shared publish tail: append `frame` to the window, age raws past the
-  /// raw window, satisfy waiters, update stats, fan out on the pool.
+  /// Shared publish tail: append `frame` to the window, satisfy waiters,
+  /// update stats, fan out on the pool.
   /// Requires publish_mutex_ held; takes mutex_ itself. `cost` is the
   /// encode work the build performed.
   std::uint64_t commit_frame(std::shared_ptr<Frame> frame,
@@ -353,6 +325,11 @@ class FrameHub {
   Config config_;
   /// Serializes publishers so frame building happens outside mutex_.
   std::mutex publish_mutex_;
+  /// Per image tier, the last published raw image: the reference the next
+  /// publish diffs against (requires publish_mutex_). Empty when the last
+  /// frame published no pixels for the tier, so the next one is
+  /// full_change.
+  std::array<viz::Image, kImageTierCount> diff_ref_;
   mutable std::mutex mutex_;
   std::deque<FramePtr> window_;
   std::uint64_t seq_ = 0;

@@ -15,7 +15,7 @@
 // subscriber can only name views the publisher has declared, so an unknown
 // view is a 404 at the HTTP layer, never an attacker-driven allocation.
 // Shards idle past `idle_reap_s` (no publish, no subscriber activity) are
-// reaped: the heavy FrameHub (window, framebuffers, encodes) is shut down —
+// reaped: the heavy FrameHub (window, diff reference, encodes) is shut down —
 // which completes any parked pollers with the timeout contract — while the
 // view *name* stays registered. A later poll revives an empty shard whose
 // seq restarts at 1; parked clients that re-poll with their stale cursor

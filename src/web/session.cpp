@@ -19,6 +19,9 @@ std::size_t index_of(Tier tier) { return static_cast<std::size_t>(tier); }
 
 constexpr std::size_t kMaxClientIdBytes = 64;
 
+/// Ceiling on the per-client inter-frame interval (frame-rate floor).
+constexpr double kMaxIntervalS = 1.0;
+
 bool client_id_char_ok(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
          (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
@@ -66,7 +69,7 @@ void ClientSession::reset_controller_locked(double initial_interval_s) {
   if (!controller_) controller_ = transport::make_controller(config_.controller);
   controller_->reset(
       initial_interval_s, config_.frame_interval_s,
-      std::max(config_.frame_interval_s, config_.max_interval_s));
+      std::max(config_.frame_interval_s, kMaxIntervalS));
 }
 
 ClientSession::ViewState& ClientSession::view_state_locked(
@@ -196,7 +199,7 @@ void ClientSession::on_delivered(double now_s, std::size_t bytes,
     // rising delay is exactly how it holds the tier steady instead of
     // riding utilization down into a downgrade.
     interval_s_ = std::clamp(proposed, cadence,
-                             std::max(cadence, config_.max_interval_s));
+                             std::max(cadence, kMaxIntervalS));
   }
 
   const double util = achieved_fps / offered_fps;
@@ -255,7 +258,7 @@ void ClientSession::on_delivered(double now_s, std::size_t bytes,
         // applied above, at every tier.)
         interval_s_ = std::clamp(
             proposed, cadence,
-            std::max(cadence, config_.max_interval_s));
+            std::max(cadence, kMaxIntervalS));
       }
     }
   } else {

@@ -88,8 +88,6 @@ struct PacingConfig {
   /// Keeps a client parked at its capacity boundary from re-probing and
   /// re-downgrading every upgrade_streak samples forever.
   int max_probe_backoff = 8;
-  /// Ceiling on the per-client inter-frame interval (frame-rate floor).
-  double max_interval_s = 1.0;
   /// Hard cap on live sessions: beyond it new `client` ids are served
   /// unpaced (full tier) instead of allocating — an attacker-chosen id per
   /// request must not grow the table without bound.

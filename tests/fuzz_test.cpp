@@ -1,7 +1,8 @@
 // Seeded mutation fuzzing of the byte parsers that read a peer's bytes.
 //
 // web::ResponseDecoder is the one reader of HTTP response framing, and a
-// relay feeds it whatever its upstream sends. The seed corpus in
+// relay feeds it whatever its upstream sends; the relay then parses each
+// frame body with util::Json to keep its /api/state. The seed corpus in
 // tests/corpus/response_decoder is wire captured from a real origin: a
 // long-poll response, three responses pipelined on one keep-alive
 // connection, and an SSE stream with frames, keepalive comments and the
@@ -15,6 +16,9 @@
 // decoder's contract (see decoder_transcript.hpp): every outcome is a
 // well-ordered item sequence or a clean error, nothing beyond the caps is
 // held, and the pieces decode exactly as the whole mutated wire does.
+// util::Json is seeded with the JSON bodies and SSE event payloads of the
+// same corpus: a mutant either fails to parse with a clean error, or its
+// value survives dump and parse again unchanged.
 // The generator's seed is fixed, so a failure reproduces run to run; the
 // failing iteration and its wire are printed.
 #include <gtest/gtest.h>
@@ -29,16 +33,19 @@
 #include <functional>
 #include <iostream>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "decoder_transcript.hpp"
+#include "util/json.hpp"
 #include "web/frontend.hpp"
 #include "web/http.hpp"
 
 namespace w = ricsa::web;
+using ricsa::util::Json;
 using ricsa_test::transcript;
 
 namespace {
@@ -83,7 +90,14 @@ const std::array<std::string, 12> kTokens = {
     "HTTP/1.1 200 OK\r\n", "id: 18446744073709551616\n", "data: ", ": k\n\n",
     "5\r\nab\n\nc\r\n"};
 
-void mutate(std::string& wire, std::mt19937_64& rng) {
+/// JSON fragments for the util::Json target: structure, escapes, number
+/// edge cases and a deep nesting run.
+const std::array<std::string, 16> kJsonTokens = {
+    "{", "}", "[", "]", "\"", ":", ",", "\\u00", "\\ud83d", "\\",
+    "-0", "1e308", "1e999", "0.1e-400", "null", std::string(100000, '[')};
+
+void mutate(std::string& wire, std::mt19937_64& rng,
+            std::span<const std::string> tokens = kTokens) {
   const auto below = [&rng](std::size_t n) {
     return n == 0 ? 0 : static_cast<std::size_t>(rng() % n);
   };
@@ -105,7 +119,7 @@ void mutate(std::string& wire, std::mt19937_64& rng) {
         wire.insert(pos, 1 + below(8), static_cast<char>(rng()));
         break;
       case 3:  // insert a framing token
-        wire.insert(pos, kTokens[below(kTokens.size())]);
+        wire.insert(pos, tokens[below(tokens.size())]);
         break;
       case 4:  // delete a range
         wire.erase(pos, 1 + below(16));
@@ -176,6 +190,77 @@ TEST(ResponseDecoderFuzz, MutatedWireYieldsItemsOrACleanError) {
             << " decoded to a clean error, " << seconds << " s\n";
   // Most mutants should still reach deep into the framing, not all die at
   // the status line.
+  EXPECT_LT(errors, static_cast<std::size_t>(kIterations) * 9 / 10);
+}
+
+// --------------------------------------------------------- util::Json ----
+
+namespace {
+
+/// The corpus's JSON documents: every response body and SSE event payload.
+std::vector<std::string> json_seeds() {
+  using Item = w::ResponseDecoder::Item;
+  std::vector<std::string> seeds;
+  for (const std::string& wire : load_corpus()) {
+    w::ResponseDecoder decoder;
+    decoder.feed(wire);
+    for (Item item = decoder.next();
+         item != Item::kNeedMore && item != Item::kError;
+         item = decoder.next()) {
+      if (item == Item::kBody) seeds.push_back(decoder.body());
+      if (item == Item::kEvent && decoder.event().has_data) {
+        seeds.push_back(decoder.event().data);
+      }
+    }
+  }
+  return seeds;
+}
+
+}  // namespace
+
+TEST(JsonFuzz, MutatedBodiesParseCleanlyOrRoundTrip) {
+  constexpr int kIterations = 100000;
+  const std::vector<std::string> seeds = json_seeds();
+  ASSERT_GE(seeds.size(), 5u);
+  for (const std::string& seed : seeds) {
+    ASSERT_NO_THROW(Json::parse(seed)) << seed;
+  }
+  std::mt19937_64 rng(0x150bf00dULL);
+  std::size_t errors = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int iteration = 0; iteration < kIterations; ++iteration) {
+    std::string text = seeds[rng() % seeds.size()];
+    mutate(text, rng, kJsonTokens);
+    Json value;
+    try {
+      value = Json::parse(text);
+    } catch (const std::runtime_error&) {
+      ++errors;
+      continue;
+    }
+    const std::string dumped = value.dump();
+    Json again;
+    try {
+      again = Json::parse(dumped);
+    } catch (const std::runtime_error& e) {
+      ADD_FAILURE() << "iteration " << iteration << ": dump does not parse ("
+                    << e.what() << ")\ninput:\n" << text << "\ndump:\n"
+                    << dumped;
+      return;
+    }
+    if (!(again == value)) {
+      ADD_FAILURE() << "iteration " << iteration
+                    << ": value changed across dump and parse\ninput:\n"
+                    << text << "\ndump:\n" << dumped;
+      return;
+    }
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  std::cout << "[fuzz] " << kIterations << " Json mutants, " << errors
+            << " failed to parse cleanly, " << seconds << " s\n";
+  // Most mutants must still parse, so the round trip is really exercised.
   EXPECT_LT(errors, static_cast<std::size_t>(kIterations) * 9 / 10);
 }
 

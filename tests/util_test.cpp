@@ -310,6 +310,27 @@ TEST(Json, MalformedInputsThrow) {
   EXPECT_THROW(u::Json::parse("1 2"), std::runtime_error);
 }
 
+TEST(Json, DeepNestingThrowsInsteadOfOverflowingTheStack) {
+  // Fuzz finding: 100000 '[' recursed until the stack overflowed.
+  EXPECT_THROW(u::Json::parse(std::string(100000, '[')), std::runtime_error);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(u::Json::parse(objects), std::runtime_error);
+  // Nesting up to the cap still parses and round-trips.
+  const std::string deep = std::string(512, '[') + std::string(512, ']');
+  EXPECT_EQ(u::Json::parse(deep).dump(), deep);
+  EXPECT_THROW(u::Json::parse("[" + deep + "]"), std::runtime_error);
+}
+
+TEST(Json, HugeNumbersRoundTripWithoutAnIntegerCast) {
+  // Fuzz finding: dumping 1e308 converted it to int64 before the range
+  // check, which -fsanitize=float-cast-overflow reports as undefined.
+  const u::Json v = u::Json::parse("[1e308,-1e300,9.3e18,1e15,-0.5]");
+  EXPECT_EQ(u::Json::parse(v.dump()), v);
+  EXPECT_EQ(u::Json(1e15).dump(), "1000000000000000");
+  EXPECT_EQ(u::Json(999999999999999.0).dump(), "999999999999999");
+}
+
 TEST(Json, IntegerFormatting) {
   EXPECT_EQ(u::Json(42).dump(), "42");
   EXPECT_EQ(u::Json(-3).dump(), "-3");

@@ -1,6 +1,7 @@
 // Tile-based dirty-rect frame deltas: publish-time tile encoding, the
 // sequential prebuilt delta body, cursor-anchored reassembly for skipping
-// clients (byte-identical composites after random skips), the full-frame
+// clients (byte-identical composites after random skips, far-back cursors,
+// tiles that change back inside the skipped range), the full-frame
 // fallbacks (full change, aged-out cursor, missing tier reference, tier
 // switch), and the HTTP-level full=1 resync escape hatch.
 #include <gtest/gtest.h>
@@ -226,18 +227,19 @@ TEST(TileDelta, CursorAnchoredDeltaRefusesRangesCrossingFullChangeFrames) {
   EXPECT_FALSE(hub.delta_body_for(f4, 3, w::Tier::kFull).empty());
 }
 
-TEST(TileDelta, UnchangedImageSharesRawBufferAndOmitsImage) {
+TEST(TileDelta, UnchangedImageOmitsImageAndKeepsCursorDeltas) {
   w::FrameHub hub(tile_hub_config());
   hub.publish(state_of(1.0), scene(0));
   hub.publish(state_of(2.0), scene(0));  // byte-identical pixels
-  const w::FramePtr f1 = hub.next_after(0);
   const w::FramePtr f2 = hub.next_after(1);
-  ASSERT_TRUE(f1 && f2);
+  ASSERT_TRUE(f2);
   const Json delta = Json::parse(f2->body(w::Tier::kFull, true));
   EXPECT_FALSE(delta.contains("tiles"));
   EXPECT_FALSE(delta.contains("image_b64"));
-  // A converged simulation retains one framebuffer, not window-many.
-  EXPECT_EQ(f1->tiles[0].raw().get(), f2->tiles[0].raw().get());
+  // An unchanged frame is a tile delta with no dirty tiles, not a full
+  // change: it carries no rects and breaks no cursor-anchored range.
+  EXPECT_FALSE(f2->tiles[0].full_change);
+  EXPECT_TRUE(f2->tiles[0].rects.empty());
   // Cursor-anchored across the unchanged frame still works: 1 -> 3.
   hub.publish(state_of(3.0), scene(5));
   const w::FramePtr f3 = hub.next_after(2);
@@ -250,6 +252,69 @@ TEST(TileDelta, UnchangedImageSharesRawBufferAndOmitsImage) {
   EXPECT_EQ(canvas.pixels(), scene(5).pixels());
 }
 
+TEST(TileDelta, CursorFortyFramesBehindCompositesByteIdentically) {
+  // Frames keep dirty sets and tile encodes, not pixels, so a cursor
+  // anywhere in the window anchors a delta: 40 frames behind in a 64-frame
+  // window, the union of the stored dirty sets still names every tile the
+  // client's canvas lacks.
+  w::FrameHub hub(tile_hub_config());  // window 64
+  const int kWidth = 256;
+  const int kHeight = 192;
+  for (int i = 0; i < 64; ++i) {
+    hub.publish(state_of(i), scene(i, kWidth, kHeight));
+  }
+  const w::FramePtr head = hub.latest();
+  ASSERT_TRUE(head);
+  ASSERT_EQ(head->seq, 64u);
+  ASSERT_EQ(hub.oldest_retained(), 1u);
+  const std::string body = hub.delta_body_for(head, 24, w::Tier::kFull);
+  ASSERT_FALSE(body.empty());
+  const Json parsed = Json::parse(body);
+  ASSERT_TRUE(parsed.contains("tiles"));
+  EXPECT_EQ(parsed.at("base_seq").as_number(), 24.0);
+  // Frame seq s was published from scene(s - 1).
+  v::Image canvas = scene(23, kWidth, kHeight);
+  std::uint64_t composited = 24;
+  ASSERT_TRUE(apply_body(parsed, canvas, composited));
+  EXPECT_EQ(composited, 64u);
+  EXPECT_EQ(canvas.pixels(), scene(63, kWidth, kHeight).pixels());
+}
+
+TEST(TileDelta, TileThatChangesBackInsideTheSkippedRangeCompositesCorrectly) {
+  // A tile that changes and changes back between the cursor and the served
+  // frame is in the union of the dirty sets, so it ships again (its newest
+  // changer's rect holds the restored pixels) — redundant, never wrong.
+  w::FrameHub hub(tile_hub_config());
+  v::Image marked = scene(0);
+  for (int y = 34; y < 42; ++y) {
+    for (int x = 2; x < 10; ++x) marked.at(x, y) = {0, 255, 0, 255};
+  }
+  hub.publish(state_of(1.0), scene(0));
+  hub.publish(state_of(2.0), marked);    // bottom-left tile changes...
+  hub.publish(state_of(3.0), scene(0));  // ...and changes back
+  hub.publish(state_of(4.0), scene(1));  // the feature moves
+  const w::FramePtr f4 = hub.latest();
+  ASSERT_TRUE(f4);
+  const std::string body = hub.delta_body_for(f4, 1, w::Tier::kFull);
+  ASSERT_FALSE(body.empty());
+  const Json parsed = Json::parse(body);
+  bool ships_restored_tile = false;
+  for (const Json& t : parsed.at("tiles").as_array()) {
+    const int x = static_cast<int>(t.at("x").as_number());
+    const int y = static_cast<int>(t.at("y").as_number());
+    const int w = static_cast<int>(t.at("w").as_number());
+    const int h = static_cast<int>(t.at("h").as_number());
+    if (x <= 2 && x + w >= 10 && y <= 34 && y + h >= 42) {
+      ships_restored_tile = true;
+    }
+  }
+  EXPECT_TRUE(ships_restored_tile);
+  v::Image canvas = scene(0);
+  std::uint64_t composited = 1;
+  ASSERT_TRUE(apply_body(parsed, canvas, composited));
+  EXPECT_EQ(canvas.pixels(), scene(1).pixels());
+}
+
 TEST(TileDelta, CursorAgedOutOfWindowFallsBack) {
   w::FrameHub::Config config = tile_hub_config();
   config.window = 4;
@@ -258,7 +323,7 @@ TEST(TileDelta, CursorAgedOutOfWindowFallsBack) {
   const w::FramePtr latest = hub.next_after(9);
   ASSERT_TRUE(latest);
   ASSERT_EQ(hub.oldest_retained(), 7u);
-  // Cursor 2 left the window long ago: no reference framebuffer, no delta.
+  // Cursor 2 left the window long ago: its dirty sets are gone, no delta.
   EXPECT_TRUE(hub.delta_body_for(latest, 2, w::Tier::kFull).empty());
   // A retained cursor still deltas.
   EXPECT_FALSE(hub.delta_body_for(latest, 8, w::Tier::kFull).empty());

@@ -152,7 +152,9 @@ TEST(ClientSession, DelayLawVetoesUpgradeProbesWhileDelayRises) {
   // A session knocked down to the half tier drains promptly for one
   // upgrade streak. Under flat delay the streak's last sample probes back
   // up. Under rising delay that sample is where the trendline law detects
-  // overuse, so the probe waits until the delay stops rising.
+  // overuse, so the probe waits until the delay stops rising — including
+  // the samples right after the decrease, while the law's regression
+  // window is still rebuilding.
   w::PacingConfig config = pacing_config();  // upgrade 3
   config.controller.kind = t::ControllerKind::kTrendline;
   // The law caps its rate at 1.5x the achieved rate, so only the first
@@ -170,7 +172,21 @@ TEST(ClientSession, DelayLawVetoesUpgradeProbesWhileDelayRises) {
       s.on_delivered(t, kSizes[1], 0, s.tier(), 0.05, "", rtt);
     }
     EXPECT_EQ(s.tier(), rise > 0.0 ? w::Tier::kHalf : w::Tier::kFull);
-    s.on_delivered(t + 0.05, kSizes[1], 0, s.tier(), 0.05, "", rtt);
+    if (rise == 0.0) {
+      s.on_delivered(t + 0.05, kSizes[1], 0, s.tier(), 0.05, "", rtt);
+      EXPECT_EQ(s.tier(), w::Tier::kFull);
+      continue;
+    }
+    // The RTT is still rising on the fourth sample: still half.
+    t += 0.05;
+    rtt += rise;
+    s.on_delivered(t, kSizes[1], 0, s.tier(), 0.05, "", rtt);
+    EXPECT_EQ(s.tier(), w::Tier::kHalf);
+    // Once the delay stops rising the probe fires.
+    for (int i = 0; i < 20 && s.tier() != w::Tier::kFull; ++i) {
+      t += 0.05;
+      s.on_delivered(t, kSizes[1], 0, s.tier(), 0.05, "", rtt);
+    }
     EXPECT_EQ(s.tier(), w::Tier::kFull);
   }
 }

@@ -270,44 +270,36 @@ TEST(HubRegistry, ReapingIdleViewCompletesParkedPollersAndRevivesOnPoll) {
   EXPECT_EQ(registry.find("pinned"), pinned);
 }
 
-// ------------------------------------------- bounded raw retention ----
+// ---------------------------------- tile deltas without stored pixels ----
 
-TEST(FrameHub, RawWindowDropsFramebuffersButKeepsSequentialTileDeltas) {
+TEST(FrameHub, TileDeltasAtAnyAgeNeedNoStoredFramebuffers) {
   w::FrameHub::Config config;
   config.window = 16;
   config.workers = 1;
   config.max_wait_s = 5.0;
   config.tile_size = 16;
-  config.raw_window = 3;
   w::FrameHub hub(config);
-  for (int k = 0; k < 8; ++k) hub.publish(state_of("v", k), scene(k));
+  for (int k = 0; k < 8; ++k) {
+    hub.publish(state_of("v", k), scene(k, 128, 96));
+  }
 
-  // Frames past the raw window lost their framebuffers; recent ones keep
-  // them (seq > 8 - 3 = 5).
-  for (std::uint64_t s = 1; s <= 8; ++s) {
+  // Frames keep tile encodes, never pixels: the prebuilt sequential delta
+  // body carries tiles at every age.
+  for (std::uint64_t s = 2; s <= 8; ++s) {
     const w::FramePtr frame = hub.next_after(s - 1);
     ASSERT_NE(frame, nullptr);
     ASSERT_EQ(frame->seq, s);
-    if (s > 5) {
-      EXPECT_NE(frame->tiles[0].raw(), nullptr) << "seq " << s;
-    } else {
-      EXPECT_EQ(frame->tiles[0].raw(), nullptr) << "seq " << s;
-    }
-    // The prebuilt sequential delta body still carries tiles: raw pixels
-    // are only the diff *reference*, not the payload.
-    if (s > 1) {
-      const Json delta = Json::parse(frame->body(w::Tier::kFull, true));
-      EXPECT_TRUE(delta.contains("tiles")) << "seq " << s;
-    }
+    const Json delta = Json::parse(frame->body(w::Tier::kFull, true));
+    EXPECT_TRUE(delta.contains("tiles")) << "seq " << s;
   }
 
+  // A cursor-anchored tile delta assembles from any cursor inside the
+  // window, near or far.
   const w::FramePtr head = hub.latest();
   ASSERT_NE(head, nullptr);
-  // Cursor inside the raw window: a cursor-anchored tile delta assembles.
   EXPECT_FALSE(hub.delta_body_for(head, 6, w::Tier::kFull).empty());
-  // Cursor behind the raw window: the reference framebuffer is gone, so
-  // the hub declines and the caller serves the full body.
-  EXPECT_TRUE(hub.delta_body_for(head, 3, w::Tier::kFull).empty());
+  EXPECT_FALSE(hub.delta_body_for(head, 3, w::Tier::kFull).empty());
+  EXPECT_FALSE(hub.delta_body_for(head, 1, w::Tier::kFull).empty());
 }
 
 // ------------------------------------- shared session across views ----

@@ -1,7 +1,7 @@
 // Relay fan-out subsystem tests: the pre-encoded hub publish path, the
 // render-skip registry query, end-to-end frame forwarding through a relay
-// node (seq rebasing, delta continuity, the never-decodes counters),
-// resync through an upstream restart, serving-side escalation latching,
+// node (seq rebasing, delta continuity, the never-decodes counters, the
+// relay's own /api/state), resync through an upstream restart, serving-side escalation latching,
 // full-tier serving to a paced client below the full tier,
 // topology guards (cycle and depth-cap aborts), the long-poll transport
 // fallback, and the hardened HttpClient retry schedule.
@@ -194,6 +194,41 @@ TEST(RelayNode, ForwardsFramesWithLocalSeqsAndNeverDecodes) {
   ASSERT_EQ(sub_stats.size(), 1u);
   EXPECT_TRUE(sub_stats[0].second.sse);
   EXPECT_FALSE(sub_stats[0].second.failed);
+
+  relay.stop();
+  origin.stop();
+}
+
+TEST(RelayNode, StateCarriesTheOriginsStateUnderTheRelaysSeq) {
+  w::AjaxFrontEnd origin(small_origin());
+  const int origin_port = origin.start();
+  r::RelayNode relay(small_relay(origin_port));
+  relay.start();
+  wait_for_relay_head(relay, 5);
+
+  // The relay joined with one full body, then merged key deltas: keys that
+  // never change after the join (view, variable) must survive the deltas,
+  // and the per-frame cycle must be the newest one.
+  const auto state = w::http_get(relay.port(), "/api/state");
+  ASSERT_EQ(state.status, 200);
+  const Json parsed = Json::parse(state.body);
+  const std::uint64_t seq = body_seq(state.body);
+  ASSERT_GE(seq, 5u);
+  const Json& st = parsed.at("state");
+  ASSERT_TRUE(st.is_object()) << state.body;
+  EXPECT_EQ(st.at("view").as_string(), "main");
+  EXPECT_TRUE(st.at("variable").is_string());
+  ASSERT_TRUE(st.at("cycle").is_number());
+
+  // The state belongs to the relay's frame `seq`: that frame's sequential
+  // delta (the origin advances its cycle every frame) names the same cycle.
+  const auto poll = w::http_get(
+      relay.port(),
+      "/api/poll?since=" + std::to_string(seq - 1) + "&delta=1&timeout=5");
+  ASSERT_EQ(poll.status, 200);
+  ASSERT_EQ(body_seq(poll.body), seq);
+  EXPECT_EQ(Json::parse(poll.body).at("state").at("cycle").as_number(),
+            st.at("cycle").as_number());
 
   relay.stop();
   origin.stop();

@@ -29,9 +29,6 @@ TEST(Http, RoutesAndStatusCodes) {
   server.route("POST", "/echo", [](const w::HttpRequest& r) {
     return w::HttpResponse::json(r.body);
   });
-  server.route("GET", "/static/", [](const w::HttpRequest& r) {
-    return w::HttpResponse::text("prefix:" + r.path);
-  }, /*prefix=*/true);
   const int port = server.start();
   ASSERT_GT(port, 0);
 
@@ -44,8 +41,8 @@ TEST(Http, RoutesAndStatusCodes) {
   EXPECT_EQ(echo.body, "{\"a\":1}");
   EXPECT_EQ(echo.headers.at("content-type"), "application/json");
 
-  const auto pre = w::http_get(port, "/static/deep/file.txt");
-  EXPECT_EQ(pre.body, "prefix:/static/deep/file.txt");
+  // Routes match exact paths only: a path below a routed one is unknown.
+  EXPECT_EQ(w::http_get(port, "/hello/deeper").status, 404);
 
   const auto missing = w::http_get(port, "/nope");
   EXPECT_EQ(missing.status, 404);
